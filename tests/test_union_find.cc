@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "campaign/registry.h"
 #include "codes/surface_code.h"
 #include "decode/dem_builder.h"
 #include "util/rng.h"
@@ -116,6 +120,122 @@ TEST(UnionFindDecoder, ReusableAcrossCalls)
     const bool first = uf.decode(syndrome);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(uf.decode(syndrome), first);
+}
+
+/**
+ * A fixed-seed corpus of decoder inputs: `frame` syndromes for the
+ * Fig 12 LER points (surface:5 @ 50 rounds, surface:7 @ 70 rounds,
+ * p = 1e-3, lr = 0.1) with a policy in the loop.  `no_lrc` lets leakage
+ * pile up, so its d=7 shots carry the largest defect counts the decoder
+ * sees (well over a hundred); `eraser_m` gives the mitigated regime.
+ */
+struct CorpusPoint {
+    std::unique_ptr<campaign::CodeInstance> code;
+    std::unique_ptr<DecodingGraph> graph;
+    std::vector<std::vector<uint8_t>> syndromes;
+};
+
+std::vector<CorpusPoint>
+build_corpus()
+{
+    const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
+    const int kShots = 96;
+    struct Spec {
+        const char* code;
+        int rounds;
+        const char* policy;
+    };
+    const Spec specs[] = {{"surface:5", 50, "no_lrc"},
+                          {"surface:5", 50, "eraser_m"},
+                          {"surface:7", 70, "no_lrc"},
+                          {"surface:7", 70, "eraser_m"}};
+    std::vector<CorpusPoint> corpus;
+    uint64_t seed = 1000;
+    for (const Spec& spec : specs) {
+        CorpusPoint pt;
+        pt.code = campaign::make_code(spec.code);
+        const CssCode& code = pt.code->code;
+        DemBuilder dem(code, pt.code->rc, np, spec.rounds);
+        pt.graph = std::make_unique<DecodingGraph>(dem.build());
+        const std::vector<int> z_checks = code.checks_of_type(CheckType::kZ);
+        const size_t nz = z_checks.size();
+        std::unique_ptr<Simulator> sim = make_simulator(
+            SimBackend::kFrame, code, pt.code->rc, np, seed++);
+        std::unique_ptr<Policy> policy =
+            campaign::make_policy(spec.policy, np)(pt.code->ctx, 0);
+        policy->set_oracle(sim.get());
+        for (int shot = 0; shot < kShots; ++shot) {
+            sim->reset_shot();
+            policy->begin_shot();
+            std::vector<uint8_t> syn(
+                (static_cast<size_t>(spec.rounds) + 1) * nz, 0);
+            LrcSchedule sched;
+            RoundResult rr;
+            for (int r = 0; r < spec.rounds; ++r) {
+                rr = sim->run_round(sched);
+                policy->observe(r, rr, &sched);
+                for (size_t zi = 0; zi < nz; ++zi)
+                    syn[static_cast<size_t>(r) * nz + zi] =
+                        rr.detector[static_cast<size_t>(z_checks[zi])];
+            }
+            const std::vector<uint8_t> flips = sim->final_data_measure();
+            for (size_t zi = 0; zi < nz; ++zi) {
+                uint8_t det =
+                    rr.meas_flip[static_cast<size_t>(z_checks[zi])];
+                for (int q : code.check(z_checks[zi]).support)
+                    det ^= flips[static_cast<size_t>(q)];
+                syn[static_cast<size_t>(spec.rounds) * nz + zi] = det;
+            }
+            pt.syndromes.push_back(std::move(syn));
+        }
+        corpus.push_back(std::move(pt));
+    }
+    return corpus;
+}
+
+const std::vector<CorpusPoint>&
+corpus()
+{
+    static const std::vector<CorpusPoint> c = build_corpus();
+    return c;
+}
+
+TEST(UnionFindGolden, CorpusDecodesToPinnedDigest)
+{
+    // Pins the decoder's exact output on the corpus: any change to the
+    // growth order, the peeling forest or the residual shows up here.
+    // The defect total pins the corpus itself, so a failure there points
+    // at the simulator, not the decoder.
+    long defects = 0;
+    int max_defects = 0;
+    long flips = 0;
+    long residual = 0;
+    uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
+    for (const CorpusPoint& pt : corpus()) {
+        UnionFindDecoder uf(*pt.graph);
+        for (const std::vector<uint8_t>& syn : pt.syndromes) {
+            int ones = 0;
+            for (uint8_t b : syn)
+                ones += b;
+            defects += ones;
+            max_defects = std::max(max_defects, ones);
+            const bool logical = uf.decode(syn);
+            flips += logical ? 1 : 0;
+            residual += uf.last_residual();
+            const uint64_t word =
+                (static_cast<uint64_t>(uf.last_residual()) << 1) |
+                (logical ? 1u : 0u);
+            for (int k = 0; k < 8; ++k) {
+                hash ^= (word >> (8 * k)) & 0xffu;
+                hash *= 1099511628211ull;
+            }
+        }
+    }
+    EXPECT_EQ(defects, 25505);
+    EXPECT_EQ(max_defects, 439);
+    EXPECT_EQ(flips, 157);
+    EXPECT_EQ(residual, 0);
+    EXPECT_EQ(hash, 17542116252427568194ull);
 }
 
 }  // namespace
