@@ -529,6 +529,7 @@ class ProgressTracker {
         uint64_t& cur = job_shots_[job_index];
         if (cumulative > cur) {
             shots_done_ += cumulative - cur;
+            shots_executed_ += cumulative - cur;
             cur = cumulative;
         }
         emit(false);
@@ -536,8 +537,9 @@ class ProgressTracker {
 
     /**
      * A job finished.  Resumed jobs never report shots (nothing ran), so
-     * their planned shard shots count as done here; `rec` carries an
-     * executed job's stage times (null for resumed jobs).
+     * their planned shard shots count as done here — for progress only,
+     * never for throughput; `rec` carries an executed job's stage times
+     * (null for resumed jobs).
      */
     void job_finished(int job_index, bool resumed, uint64_t planned_shots,
                       const telemetry::Record* rec)
@@ -552,6 +554,7 @@ class ProgressTracker {
             uint64_t& cur = job_shots_[job_index];
             if (planned_shots > cur) {
                 shots_done_ += planned_shots - cur;
+                shots_executed_ += planned_shots - cur;
                 cur = planned_shots;
             }
         }
@@ -590,8 +593,10 @@ class ProgressTracker {
         j.set("shots_done", Json::integer(static_cast<int64_t>(shots_done_)));
         j.set("shots_total", Json::integer(shots_total_));
         j.set("wall_ns", Json::integer(static_cast<int64_t>(wall)));
+        // Throughput of this pass: shots it executed, not the resumed
+        // jobs' planned shots (those ran in an earlier pass).
         j.set("shots_per_second",
-              Json::number(wall > 0 ? static_cast<double>(shots_done_) /
+              Json::number(wall > 0 ? static_cast<double>(shots_executed_) /
                                           (static_cast<double>(wall) * 1e-9)
                                     : 0.0));
         Json js = Json::object();
@@ -612,7 +617,8 @@ class ProgressTracker {
 
     std::mutex mu_;
     std::map<int, uint64_t> job_shots_;  ///< cumulative per job
-    uint64_t shots_done_ = 0;
+    uint64_t shots_done_ = 0;      ///< executed + resumed (progress)
+    uint64_t shots_executed_ = 0;  ///< executed this pass (throughput)
     int64_t jobs_done_ = 0;
     int64_t jobs_resumed_ = 0;
     uint64_t stage_ns_[telemetry::kStageCount] = {0, 0, 0, 0};

@@ -2,6 +2,7 @@
 #define GLD_DECODE_UNION_FIND_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "decode/decoding_graph.h"
@@ -18,25 +19,43 @@ namespace gld {
  * LER comparisons are relative across leakage policies, which this
  * preserves.
  *
- * The decoder is an ARENA: every piece of working state is a member
- * whose capacity persists across decode() calls, so the steady state
- * (one cached decoder per scheduler worker) allocates nothing per shot.
- * Sparse structures are lazily cleaned — at the end of a decode exactly
- * the entries that decode touched are reset (tracked via added_edges_ /
- * order_), instead of O(edges) / O(nodes) wipes up front.  A decode's
- * OUTPUT is bit-identical to the pre-arena implementation: the growth
- * order, the peeling forest and the residual never depend on where the
- * scratch lives.  Not thread-safe; one instance per thread.
+ * The decoder is an ARENA sized once from the graph: one decode costs
+ * time proportional to the nodes and edges it touches and performs no
+ * heap allocation, not even on the first call.
+ *  - The graph's incidence is flattened into one CSR array.  A cluster's
+ *    frontier is an intrusive list of nodes linked through the node
+ *    state, each contributing its whole CSR incidence range, so merging
+ *    two frontiers is an O(1) splice.
+ *  - Per-node state sits at its between-decode defaults; a decode resets
+ *    exactly the nodes, edges and forest entries it touched (tracked in
+ *    touched_, added_edges_, forest_nodes_ and order_), never O(n).
+ *  - The peeling forest is a CSR built from added_edges_ in insertion
+ *    order.
+ * The splice order is part of the output contract: frontiers join longer
+ * list first, and on a tie the surviving root's list first.  It fixes the
+ * order in which edges are grown, hence the peeling forest and the
+ * predicted flip; the golden corpus in tests/test_union_find.cc pins the
+ * decoder's exact output.  Not thread-safe; one instance per thread.
  */
 class UnionFindDecoder {
   public:
     explicit UnionFindDecoder(const DecodingGraph& graph);
 
     /**
-     * Decodes one syndrome (bit per node).  An all-zero syndrome takes a
-     * fast path (one scan, no state touched) — provably the same answer
-     * (no defects means no growth, an empty forest and a false return).
+     * Decodes one syndrome given as its defect node ids, strictly
+     * ascending, each in [0, n_nodes) — node (r, zc) = r * n_z + zc, so a
+     * round-major scan produces the list in order.  An empty list returns
+     * false with no work (no defects means no growth and an empty forest),
+     * but that path is rare: on the Fig 12 LER sweep (p = 1e-3, lr = 0.1)
+     * about 0.2-0.3% of syndromes are quiet and the mean is ~50 defects,
+     * so the decoder's cost is the per-defect growth and peeling below.
      * @return the predicted logical-observable flip.
+     */
+    bool decode_defects(const std::vector<int>& defects);
+
+    /**
+     * Dense adapter: one byte per node (nonzero = defect).  Collects the
+     * defect list into reused scratch and calls decode_defects().
      */
     bool decode(const std::vector<uint8_t>& syndrome);
 
@@ -44,36 +63,60 @@ class UnionFindDecoder {
     int last_residual() const { return residual_; }
 
   private:
+    /** Union-find state of one node; defaults hold between decodes. */
+    struct Node {
+        int parent;
+        int size;
+        // Frontier list, meaningful at roots: the first and last member
+        // node and the total edge count (the splice-order key).
+        int fr_head;
+        int fr_tail;
+        int fr_len;
+        int fr_next;  ///< next node of the list this node's range is in
+        uint8_t parity;
+        uint8_t boundary;
+        uint8_t in_cluster;
+    };
+    /** Peeling-forest state of one node (index n is the boundary). */
+    struct Tree {
+        int adj_begin;  ///< this node's range in forest_adj_
+        int adj_deg;    ///< forest degree; 0 between decodes
+        int parent_edge;
+        int parent_node;
+        uint8_t visited;
+        uint8_t defect;
+    };
+    /** A graph edge, boundary edges pointing at node n. */
+    struct Edge {
+        int u;
+        int v;
+        bool logical;
+    };
+
     int find(int v);
+    void join(int v);
     void unite(int a, int b);
     void bfs(int root);
 
-    const DecodingGraph* graph_;
-    // Dense per-node union-find state, re-initialized every decode.
-    std::vector<int> parent_;
-    std::vector<int> size_;
-    std::vector<uint8_t> parity_;
-    std::vector<uint8_t> boundary_;
-    std::vector<uint8_t> in_cluster_;
-    std::vector<std::vector<int>> frontier_;
-    // Lazily-cleaned sparse state.  Invariants BETWEEN decodes:
-    // edge_added_ all zero (restored via added_edges_), adj_ entries all
-    // empty and visited_/parent_edge_/parent_node_ at 0/-1/-1 (restored
-    // via the touched node set in order_ and the added edge endpoints).
+    int n_;
+    // Immutable flattened graph.
+    std::vector<Edge> edges_;
+    std::vector<int> inc_begin_;  ///< n + 1 offsets into inc_edges_
+    std::vector<int> inc_edges_;
+    // Per-node / per-edge state at its defaults between decodes.
+    std::vector<Node> node_;
+    std::vector<Tree> tree_;
     std::vector<uint8_t> edge_added_;
-    std::vector<std::vector<std::pair<int, int>>> adj_;
-    std::vector<uint8_t> visited_;
-    std::vector<int> parent_edge_;
-    std::vector<int> parent_node_;
-    // Reused dense/list scratch (contents meaningless between decodes).
-    std::vector<uint8_t> defect_;
-    std::vector<int> defects_;
+    // Touched lists and scratch, reserved to their worst case up front.
+    std::vector<int> touched_;
     std::vector<int> odd_;
     std::vector<int> next_;
     std::vector<int> still_;
     std::vector<int> added_edges_;
-    std::vector<int> order_;
-    std::vector<int> queue_;
+    std::vector<int> forest_nodes_;
+    std::vector<std::pair<int, int>> forest_adj_;  ///< (neighbour, edge)
+    std::vector<int> order_;  ///< BFS visit order; doubles as the queue
+    std::vector<int> dense_defects_;
     int residual_ = 0;
 };
 

@@ -16,6 +16,34 @@
 
 namespace gld {
 
+namespace {
+
+/**
+ * Appends round r's Z-detector defects to a shot's decoder input: node
+ * ids r*nz+zi, ascending in zi, so a round-major caller builds the
+ * ascending list decode_defects() takes.  Branch-free: every candidate is
+ * written and the cursor advances only on a set detector.
+ */
+void
+append_defects(const std::vector<uint8_t>& detector,
+               const std::vector<int>& z_checks, int r,
+               std::vector<int>* defects)
+{
+    const size_t nz = z_checks.size();
+    const size_t base = defects->size();
+    defects->resize(base + nz);
+    int* out = defects->data() + base;
+    const int first = r * static_cast<int>(nz);
+    size_t k = 0;
+    for (size_t zi = 0; zi < nz; ++zi) {
+        out[k] = first + static_cast<int>(zi);
+        k += detector[static_cast<size_t>(z_checks[zi])] != 0 ? 1 : 0;
+    }
+    defects->resize(base + k);
+}
+
+}  // namespace
+
 /**
  * One executor slot's reusable block state.  Everything a block used to
  * construct or allocate per (stream, block) lives here instead, owned by
@@ -35,7 +63,7 @@ struct alignas(64) ExperimentRunner::BlockResources {
 
     // Scalar-path scratch.
     std::vector<int> sched_stamp;
-    std::vector<uint8_t> syndrome1;
+    std::vector<int> defects1;
 
     // Batch-path scratch (mirrors the locals the batch block held).
     std::vector<LrcSchedule> scheds;
@@ -46,7 +74,9 @@ struct alignas(64) ExperimentRunner::BlockResources {
     std::vector<int> check_leaked;
     std::vector<std::vector<double>> dlp_buf;
     std::vector<std::vector<double>> chk_buf;
-    std::vector<std::vector<uint8_t>> syndrome;
+    /// Per-lane decoder input: defect node ids r*nz+zi, collected in
+    /// ascending order (round-major, then Z-check index).
+    std::vector<std::vector<int>> defects;
 };
 
 ExperimentRunner::ExperimentRunner(const CodeContext& ctx,
@@ -151,7 +181,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // Same initial values a fresh block's locals held, capacity reused.
     res->sched_stamp.assign(static_cast<size_t>(n_data), -1);
     std::vector<int>& sched_stamp = res->sched_stamp;
-    std::vector<uint8_t>& syndrome = res->syndrome1;
+    std::vector<int>& defects = res->defects1;
 
     for (int shot = 0; shot < shots; ++shot) {
         clock.lap(telemetry::kAccounting);
@@ -166,8 +196,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             sim->inject_data_leak(
                 static_cast<int>(shot_rng.uniform_int(n_data)));
 
-        if (graph != nullptr)
-            syndrome.assign(static_cast<size_t>(cfg_.rounds + 1) * nz, 0);
+        defects.clear();
         clock.lap(telemetry::kSim);
 
         LrcSchedule sched;
@@ -216,12 +245,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 }
             }
 
-            if (graph != nullptr) {
-                for (int zi = 0; zi < nz; ++zi) {
-                    syndrome[static_cast<size_t>(r) * nz + zi] =
-                        rr.detector[z_checks[zi]];
-                }
-            }
+            if (graph != nullptr)
+                append_defects(rr.detector, z_checks, r, &defects);
             clock.lap(telemetry::kAccounting);
         }
 
@@ -232,13 +257,14 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 uint8_t det = rr.meas_flip[z_checks[zi]];
                 for (int q : code.check(z_checks[zi]).support)
                     det ^= flips[q];
-                syndrome[static_cast<size_t>(cfg_.rounds) * nz + zi] = det;
+                if (det)
+                    defects.push_back(cfg_.rounds * nz + zi);
             }
             uint8_t observed = 0;
             for (int q : code.logical_z())
                 observed ^= flips[q];
             clock.lap(telemetry::kAccounting);
-            const bool predicted = decoder->decode(syndrome);
+            const bool predicted = decoder->decode_defects(defects);
             clock.lap(telemetry::kDecode);
             if ((observed != 0) != predicted)
                 ++m.logical_errors;
@@ -346,9 +372,9 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
         chk_buf[static_cast<size_t>(l)].resize(
             static_cast<size_t>(rounds));
     }
-    std::vector<std::vector<uint8_t>>& syndrome = res->syndrome;
-    if (static_cast<int>(syndrome.size()) < max_lanes)
-        syndrome.resize(static_cast<size_t>(max_lanes));
+    std::vector<std::vector<int>>& defects = res->defects;
+    if (static_cast<int>(defects.size()) < max_lanes)
+        defects.resize(static_cast<size_t>(max_lanes));
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -376,10 +402,7 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
                            static_cast<uint32_t>(n_data))));
-            if (graph != nullptr)
-                syndrome[li].assign(
-                    static_cast<size_t>(rounds + 1) * static_cast<size_t>(nz),
-                    0);
+            defects[li].clear();
         }
         clock.lap(telemetry::kSim);  // batch reset + leak injection
 
@@ -489,15 +512,9 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     static_cast<double>(data_leaked[li]) / n_data;
                 chk_buf[li][static_cast<size_t>(r)] =
                     static_cast<double>(check_leaked[li]) / n_checks;
-                if (graph != nullptr) {
-                    for (int zi = 0; zi < nz; ++zi) {
-                        syndrome[li][static_cast<size_t>(r) *
-                                         static_cast<size_t>(nz) +
-                                     static_cast<size_t>(zi)] =
-                            rr[li].detector[static_cast<size_t>(
-                                z_checks[static_cast<size_t>(zi)])];
-                    }
-                }
+                if (graph != nullptr)
+                    append_defects(rr[li].detector, z_checks, r,
+                                   &defects[li]);
             }
             clock.lap(telemetry::kAccounting);
         }
@@ -524,15 +541,14 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     uint8_t det = rr[li].meas_flip[static_cast<size_t>(zc)];
                     for (int q : code.check(zc).support)
                         det ^= flips[li][static_cast<size_t>(q)];
-                    syndrome[li][static_cast<size_t>(rounds) *
-                                     static_cast<size_t>(nz) +
-                                 static_cast<size_t>(zi)] = det;
+                    if (det)
+                        defects[li].push_back(rounds * nz + zi);
                 }
                 uint8_t observed = 0;
                 for (int q : code.logical_z())
                     observed ^= flips[li][static_cast<size_t>(q)];
                 clock.lap(telemetry::kAccounting);
-                const bool predicted = decoder->decode(syndrome[li]);
+                const bool predicted = decoder->decode_defects(defects[li]);
                 clock.lap(telemetry::kDecode);
                 if ((observed != 0) != predicted)
                     ++m.logical_errors;

@@ -75,10 +75,15 @@ ThreadPool::reset_peak()
 }
 
 void
-ThreadPool::run_loop(LoopTask* task, int slot)
+ThreadPool::run_loop(LoopTask* task, int slot, size_t reserved)
 {
     enter_active();
     try {
+        for (size_t i = 0; i < reserved; ++i) {
+            if (task->aborted.load(std::memory_order_relaxed))
+                break;
+            (*task->fn)(i, slot);
+        }
         // Guided chunked grabs: take a shrinking slice of the remaining
         // range per cursor bump (floor 1), so a long loop costs O(width *
         // log n) contended fetch_adds instead of one per index, while the
@@ -166,6 +171,12 @@ ThreadPool::run(size_t n, int width,
     }
 
     LoopTask task(n, fn, static_cast<int>(eff));
+    // The caller's first guided chunk is claimed before any helper can
+    // see the task, so the caller always executes part of its own loop;
+    // otherwise fast helpers could drain a short loop before the caller
+    // grabs an index.
+    const size_t reserved = std::max<size_t>(1, n / (4u * eff));
+    task.cursor.store(reserved);
     {
         std::lock_guard<std::mutex> lock(mu_);
         task.helpers_wanted = static_cast<int>(eff) - 1;
@@ -180,7 +191,7 @@ ThreadPool::run(size_t n, int width,
     // The caller is executor 0 and drains the loop itself — helpers are
     // opportunistic, so nested loops make progress even with every
     // worker busy elsewhere.
-    run_loop(&task, 0);
+    run_loop(&task, 0, reserved);
 
     {
         // Unpublish: no NEW helper may claim the task once the caller is

@@ -111,7 +111,9 @@ class ThreadPool {
 
     ThreadPool();
     void worker_main();
-    void run_loop(LoopTask* task, int slot);
+    /** Executes [0, reserved) first (claimed before publication), then
+     *  grabs chunks off the shared cursor until the range is drained. */
+    void run_loop(LoopTask* task, int slot, size_t reserved = 0);
     void enter_active();
     void leave_active();
 

@@ -723,6 +723,32 @@ TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
     EXPECT_EQ(progress[0].shots_done, progress[0].shots_total);
 }
 
+TEST(Observability, ResumeOnlyPassReportsZeroThroughput)
+{
+    if (!telemetry::kCompiledIn)
+        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
+    const CampaignSpec spec = small_spec("observe_resume_rate");
+    const std::string dir = fresh_dir("observe_resume_rate");
+    RunShardOptions opt;
+    opt.threads = 1;
+    run_shard(spec, 0, 2, dir, opt);
+    const ShardProgress executed = read_progress(spec, 2, dir)[0];
+    ASSERT_TRUE(executed.valid);
+    EXPECT_GT(executed.shots_per_second, 0.0);
+
+    // A pass that only resumes executes no shots: its rate is 0 (not the
+    // planned shots over a near-zero wall time), while progress still
+    // reads complete.
+    const RunShardStats stats = run_shard(spec, 0, 2, dir, opt);
+    EXPECT_EQ(stats.jobs_run, 0);
+    const ShardProgress resumed = read_progress(spec, 2, dir)[0];
+    ASSERT_TRUE(resumed.valid);
+    EXPECT_TRUE(resumed.done);
+    EXPECT_EQ(resumed.shots_per_second, 0.0);
+    EXPECT_EQ(resumed.shots_done, resumed.shots_total);
+    EXPECT_EQ(resumed.shots_done, executed.shots_done);
+}
+
 }  // namespace
 }  // namespace campaign
 }  // namespace gld

@@ -80,6 +80,51 @@ TEST(Json, Errors)
     EXPECT_THROW(Json::parse("1e999"), std::runtime_error);
 }
 
+/** `depth` nested containers: "[[...[1]...]]" or {"a":{"a":...1...}}. */
+std::string
+nested_document(int depth, bool objects)
+{
+    std::string text;
+    for (int i = 0; i < depth; ++i)
+        text += objects ? "{\"a\":" : "[";
+    text += "1";
+    for (int i = 0; i < depth; ++i)
+        text += objects ? "}" : "]";
+    return text;
+}
+
+TEST(Json, HostileNestingIsRefused)
+{
+    // Unbounded recursion would overflow the stack on these; the parser
+    // refuses them with the same error type as any malformed document.
+    const size_t n = 1000000;
+    std::string arrays(n, '[');
+    EXPECT_THROW(Json::parse(arrays), std::runtime_error);
+    std::string objects;
+    objects.reserve(5 * n);
+    for (size_t i = 0; i < n; ++i)
+        objects += "{\"a\":";
+    EXPECT_THROW(Json::parse(objects), std::runtime_error);
+    try {
+        Json::parse(arrays);
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+            << e.what();
+    }
+
+    // Legitimate depth still parses, up to the cap.
+    for (bool objs : {false, true}) {
+        const Json doc = Json::parse(nested_document(100, objs));
+        const Json* j = &doc;
+        for (int i = 0; i < 100; ++i)
+            j = objs ? &(*j)["a"] : &j->at(0);
+        EXPECT_EQ(j->as_int(), 1);
+        EXPECT_NO_THROW(Json::parse(nested_document(512, objs)));
+        EXPECT_THROW(Json::parse(nested_document(513, objs)),
+                     std::runtime_error);
+    }
+}
+
 TEST(Serialize, F64HexIsBitExact)
 {
     const double cases[] = {0.0,
