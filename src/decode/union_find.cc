@@ -109,9 +109,9 @@ UnionFindDecoder::bfs(int root)
     while (head < order_.size()) {
         const int v = order_[head++];
         const Tree& tv = tree_[static_cast<size_t>(v)];
-        const size_t end =
-            static_cast<size_t>(tv.adj_begin) + static_cast<size_t>(tv.adj_deg);
-        for (size_t k = static_cast<size_t>(tv.adj_begin); k < end; ++k) {
+        const size_t begin = static_cast<size_t>(tv.adj_begin);
+        const size_t end = begin + static_cast<size_t>(tv.adj_deg);
+        for (size_t k = begin; k < end; ++k) {
             const auto [w, e] = forest_adj_[k];
             Tree& tw = tree_[static_cast<size_t>(w)];
             if (!tw.visited) {

@@ -16,34 +16,6 @@
 
 namespace gld {
 
-namespace {
-
-/**
- * Appends round r's Z-detector defects to a shot's decoder input: node
- * ids r*nz+zi, ascending in zi, so a round-major caller builds the
- * ascending list decode_defects() takes.  Branch-free: every candidate is
- * written and the cursor advances only on a set detector.
- */
-void
-append_defects(const std::vector<uint8_t>& detector,
-               const std::vector<int>& z_checks, int r,
-               std::vector<int>* defects)
-{
-    const size_t nz = z_checks.size();
-    const size_t base = defects->size();
-    defects->resize(base + nz);
-    int* out = defects->data() + base;
-    const int first = r * static_cast<int>(nz);
-    size_t k = 0;
-    for (size_t zi = 0; zi < nz; ++zi) {
-        out[k] = first + static_cast<int>(zi);
-        k += detector[static_cast<size_t>(z_checks[zi])] != 0 ? 1 : 0;
-    }
-    defects->resize(base + k);
-}
-
-}  // namespace
-
 /**
  * One executor slot's reusable block state.  Everything a block used to
  * construct or allocate per (stream, block) lives here instead, owned by
@@ -245,8 +217,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 }
             }
 
-            if (graph != nullptr)
-                append_defects(rr.detector, z_checks, r, &defects);
+            if (graph != nullptr) {
+                for (int zi = 0; zi < nz; ++zi) {
+                    if (rr.detector[z_checks[zi]])
+                        defects.push_back(r * nz + zi);
+                }
+            }
             clock.lap(telemetry::kAccounting);
         }
 
@@ -512,9 +488,29 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     static_cast<double>(data_leaked[li]) / n_data;
                 chk_buf[li][static_cast<size_t>(r)] =
                     static_cast<double>(check_leaked[li]) / n_checks;
-                if (graph != nullptr)
-                    append_defects(rr[li].detector, z_checks, r,
-                                   &defects[li]);
+            }
+            // Decoder input straight off the detector words: one pass
+            // per Z check touches only the lanes that fired, in
+            // ascending zi, so every lane's list stays ascending.
+            if (graph != nullptr) {
+                const LaneMask* det_words = sim.detector_words();
+                for (int zi = 0; zi < nz; ++zi) {
+                    const size_t cb =
+                        static_cast<size_t>(
+                            z_checks[static_cast<size_t>(zi)]) *
+                        static_cast<size_t>(W);
+                    const int node = r * nz + zi;
+                    for (int w = 0; w < W; ++w) {
+                        const int base = w * kBatchLanes;
+                        for_each_lane(
+                            det_words[cb + static_cast<size_t>(w)] &
+                                lanes_mask[w],
+                            [&](int b) {
+                                defects[static_cast<size_t>(base + b)]
+                                    .push_back(node);
+                            });
+                    }
+                }
             }
             clock.lap(telemetry::kAccounting);
         }

@@ -590,6 +590,12 @@ class BatchLeakageDriver final {
      * q*n_words()+w is word w of qubit q's span.
      */
     const LaneMask* leaked_words() const { return leaked_.data(); }
+    /**
+     * Detector words of the last run_round_batch, one span per check:
+     * entry c*n_words()+w is word w of check c's span.  Bits of lanes
+     * outside the batch are unspecified.
+     */
+    const LaneMask* detector_words() const { return det_scratch_.data(); }
 
     // --- Per-lane ground truth (the runner's accounting view). ---
     bool data_leaked(int lane, int q) const
@@ -837,6 +843,15 @@ class BatchSimulator : public Simulator {
      */
     virtual const LaneMask* leaked_words() const = 0;
 
+    /**
+     * Detector words of the last run_round_batch, one span per check
+     * (entry c*batch_n_words()+w; bit l of word w = lane w*64+l) — the
+     * same bits run_round_batch unpacks into each lane's
+     * RoundResult::detector, read without the per-lane scan.  Bits of
+     * lanes outside the batch are unspecified; mask them.
+     */
+    virtual const LaneMask* detector_words() const = 0;
+
     /** One lockstep round over every active lane. */
     virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                  std::vector<RoundResult>* out) = 0;
@@ -875,6 +890,10 @@ class BatchLeakageDriverSim : public BatchSimulator,
     const LaneMask* leaked_words() const final
     {
         return driver_.leaked_words();
+    }
+    const LaneMask* detector_words() const final
+    {
+        return driver_.detector_words();
     }
     void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                          std::vector<RoundResult>* out) final

@@ -335,9 +335,9 @@ TEST(UnionFindGolden, DenseAdapterMatchesDefectListEntry)
 TEST(UnionFindGolden, SteadyStateDecodeAllocatesNothing)
 {
     // The arena contract: once a decoder exists, decoding performs no
-    // heap allocation on either entry point.  The gate is the issue's
-    // "after one warm-up pass"; the arena is in fact sized up front, so
-    // the warm-up pass is checked too.
+    // heap allocation on either entry point.  The arena is sized at
+    // construction, so the first pass over the corpus is checked as
+    // well as the warm second one.
     for (const CorpusPoint& pt : corpus()) {
         std::vector<std::vector<int>> lists;
         for (const std::vector<uint8_t>& syn : pt.syndromes)
