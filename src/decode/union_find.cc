@@ -32,7 +32,6 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     touched_.reserve(n);
     odd_.reserve(n);
     next_.reserve(n);
-    still_.reserve(n);
     added_edges_.reserve(n_edges);
     forest_nodes_.reserve(n + 1);
     forest_adj_.resize(2 * n_edges);
@@ -199,13 +198,13 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
         std::sort(next_.begin(), next_.end());
         next_.erase(std::unique(next_.begin(), next_.end()), next_.end());
         // Remove entries that merged into satisfied clusters.
-        still_.clear();
-        for (int r : next_) {
+        const auto settled = [this](int r) {
             const Node& nr = node_[static_cast<size_t>(r)];
-            if (nr.parent == r && nr.parity && !nr.boundary)
-                still_.push_back(r);
-        }
-        odd_.swap(still_);
+            return nr.parent != r || !nr.parity || nr.boundary;
+        };
+        next_.erase(std::remove_if(next_.begin(), next_.end(), settled),
+                    next_.end());
+        odd_.swap(next_);
     }
 
     // --- Peeling forest: a CSR over the added edges' endpoints, each

@@ -111,7 +111,6 @@ class UnionFindDecoder {
     std::vector<int> touched_;
     std::vector<int> odd_;
     std::vector<int> next_;
-    std::vector<int> still_;
     std::vector<int> added_edges_;
     std::vector<int> forest_nodes_;
     std::vector<std::pair<int, int>> forest_adj_;  ///< (neighbour, edge)

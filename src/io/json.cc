@@ -361,8 +361,18 @@ class Parser {
     {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_nested(&Parser::parse_object);
-            case '[': return parse_nested(&Parser::parse_array);
+            case '{':
+            case '[': {
+                // The cap bounds the recursion: a hostile document of a
+                // million '[' would otherwise overflow the stack instead
+                // of being refused.
+                if (depth_ >= kMaxDepth)
+                    fail("nesting deeper than " + std::to_string(kMaxDepth));
+                ++depth_;
+                Json v = peek() == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': return Json::str(parse_string());
             case 't':
                 if (consume_literal("true"))
@@ -378,21 +388,6 @@ class Parser {
                 fail("bad literal");
             default: return parse_number();
         }
-    }
-
-    /**
-     * Parses one container one level deeper.  The cap bounds the
-     * recursion: a hostile document of a million '[' would otherwise
-     * overflow the stack instead of being refused.
-     */
-    Json parse_nested(Json (Parser::*parse)())
-    {
-        if (depth_ >= kMaxDepth)
-            fail("nesting deeper than " + std::to_string(kMaxDepth));
-        ++depth_;
-        Json v = (this->*parse)();
-        --depth_;
-        return v;
     }
 
     Json parse_object()
