@@ -47,7 +47,7 @@ class UnionFindDecoder {
      * round-major scan produces the list in order.  An empty list returns
      * false with no work (no defects means no growth and an empty forest),
      * but that path is rare: on the Fig 12 LER sweep (p = 1e-3, lr = 0.1)
-     * about 0.2-0.3% of syndromes are quiet and the mean is ~50 defects,
+     * fewer than 0.3% of syndromes are quiet and the mean is ~50 defects,
      * so the decoder's cost is the per-defect growth and peeling below.
      * @return the predicted logical-observable flip.
      */
