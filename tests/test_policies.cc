@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <map>
+#include <string>
+
+#include "campaign/registry.h"
 #include "codes/color_code.h"
 #include "codes/surface_code.h"
 #include "core/policy_eraser.h"
@@ -7,6 +13,7 @@
 #include "core/policy_static.h"
 #include "runtime/experiment.h"
 #include "sim/frame_sim.h"
+#include "util/rng.h"
 
 namespace gld {
 namespace {
@@ -293,6 +300,175 @@ TEST(GladiatorFactory, SharesOneTableSetPerContext)
     const auto* g5 = dynamic_cast<const GladiatorPolicy*>(p5.get());
     ASSERT_NE(g5, nullptr);
     EXPECT_NE(g5->tables().get(), g1->tables().get());
+}
+
+// --- Golden schedule digest. ---
+//
+// Every registry policy except the oracle one, fed fixed-seed synthetic
+// rounds (per-shot detector density in [0.02, 0.5], random MLR flags),
+// 30 rounds x 64 shots with begin_shot between shots.  The FNV-1a hash
+// of the emitted schedules is pinned: any change to a policy's decisions
+// or to the order it lists its LRCs shows up here.
+
+constexpr int kDigestShots = 64;
+constexpr int kDigestRounds = 30;
+
+/** The synthetic input of (shot, round): detector and MLR bytes. */
+struct DigestInputs {
+    std::vector<RoundResult> rounds;  ///< shot-major, kDigestRounds each
+
+    DigestInputs(int n_checks, uint64_t seed)
+    {
+        Rng rng(seed);
+        for (int s = 0; s < kDigestShots; ++s) {
+            const double density = 0.02 + 0.48 * rng.uniform();
+            for (int r = 0; r < kDigestRounds; ++r) {
+                RoundResult rr;
+                rr.meas_flip.assign(static_cast<size_t>(n_checks), 0);
+                rr.detector.assign(static_cast<size_t>(n_checks), 0);
+                rr.mlr_flag.assign(static_cast<size_t>(n_checks), 0);
+                for (int c = 0; c < n_checks; ++c) {
+                    rr.detector[static_cast<size_t>(c)] =
+                        rng.bernoulli(density) ? 1 : 0;
+                    rr.mlr_flag[static_cast<size_t>(c)] =
+                        rng.bernoulli(0.05) ? 1 : 0;
+                    rr.meas_flip[static_cast<size_t>(c)] =
+                        rr.detector[static_cast<size_t>(c)];
+                }
+                rounds.push_back(std::move(rr));
+            }
+        }
+    }
+    const RoundResult& at(int shot, int round) const
+    {
+        return rounds[static_cast<size_t>(shot * kDigestRounds + round)];
+    }
+};
+
+struct Fnv1a {
+    uint64_t h = 0xcbf29ce484222325ull;
+    void add(int v)
+    {
+        const uint32_t u = static_cast<uint32_t>(v);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (u >> (8 * b)) & 0xFFu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(const std::vector<int>& list)
+    {
+        add(static_cast<int>(list.size()));
+        for (int v : list)
+            add(v);
+    }
+};
+
+const char* const kDigestCodes[] = {"surface:5", "color:7", "hgp_hamming",
+                                    "bpc"};
+
+std::vector<std::string>
+digest_policies()
+{
+    std::vector<std::string> out;
+    for (const std::string& name : campaign::known_policies()) {
+        if (name != "ideal")
+            out.push_back(name);
+    }
+    return out;
+}
+
+NoiseParams
+digest_noise()
+{
+    return NoiseParams::standard(1e-3, 0.1);
+}
+
+uint64_t
+schedule_digest(const CodeContext& ctx, const std::string& policy,
+                const DigestInputs& in)
+{
+    const auto p = campaign::make_policy(policy, digest_noise())(ctx, 7);
+    Fnv1a fnv;
+    LrcSchedule out;
+    for (int s = 0; s < kDigestShots; ++s) {
+        p->begin_shot();
+        for (int r = 0; r < kDigestRounds; ++r) {
+            p->observe(r, in.at(s, r), &out);
+            fnv.add(r);
+            fnv.add(out.data_qubits);
+            fnv.add(out.checks);
+        }
+    }
+    return fnv.h;
+}
+
+TEST(PolicyGolden, ScheduleDigestIsPinned)
+{
+    // Pinned from the per-lane policy implementations the word kernels
+    // replaced; the word kernels' one-lane path must reproduce them.
+    const std::map<std::string, uint64_t> pinned = {
+        {"surface:5/no_lrc", 0xdddcaf614ad70b25ull},
+        {"surface:5/always_lrc", 0xf68829eee6c63325ull},
+        {"surface:5/staggered", 0xae70e8847294cf25ull},
+        {"surface:5/mlr_only", 0x435021fc8a06ca45ull},
+        {"surface:5/eraser", 0xcc6320d85e8fe4f1ull},
+        {"surface:5/eraser_m", 0x15a45c0936965f71ull},
+        {"surface:5/gladiator", 0xd5132676465b4906ull},
+        {"surface:5/gladiator_m", 0xa4b08f0164e0f726ull},
+        {"surface:5/gladiator_d", 0xa52fd505e634c336ull},
+        {"surface:5/gladiator_d_m", 0xf578e2785765a0a6ull},
+        {"color:7/no_lrc", 0xdddcaf614ad70b25ull},
+        {"color:7/always_lrc", 0xea6e1fa46c9cf325ull},
+        {"color:7/staggered", 0x7c1f8c21fe708325ull},
+        {"color:7/mlr_only", 0x7b745a167f86c592ull},
+        {"color:7/eraser", 0x941e9d7dae747776ull},
+        {"color:7/eraser_m", 0x54b3d2938ac63701ull},
+        {"color:7/gladiator", 0x30a74b989988a2f2ull},
+        {"color:7/gladiator_m", 0x385782f44f437c15ull},
+        {"color:7/gladiator_d", 0x49b1a9172739142full},
+        {"color:7/gladiator_d_m", 0x0caa879afe2e3f98ull},
+        {"hgp_hamming/no_lrc", 0xdddcaf614ad70b25ull},
+        {"hgp_hamming/always_lrc", 0x2ebcfa0df4033f25ull},
+        {"hgp_hamming/staggered", 0x9074973f36071325ull},
+        {"hgp_hamming/mlr_only", 0x719c0e73d40a3498ull},
+        {"hgp_hamming/eraser", 0x5cdb218db384de82ull},
+        {"hgp_hamming/eraser_m", 0xe011f32cea7b7a0full},
+        {"hgp_hamming/gladiator", 0x375125ec8c8c8dabull},
+        {"hgp_hamming/gladiator_m", 0x04d9b4b3042a8d76ull},
+        {"hgp_hamming/gladiator_d", 0x26ade27f829ee431ull},
+        {"hgp_hamming/gladiator_d_m", 0x702019bbd9378b8cull},
+        {"bpc/no_lrc", 0xdddcaf614ad70b25ull},
+        {"bpc/always_lrc", 0x33f0daac3cf1c325ull},
+        {"bpc/staggered", 0xe82c3028b79f1325ull},
+        {"bpc/mlr_only", 0x6afea2768763a791ull},
+        {"bpc/eraser", 0x00bf5a861ad2f9e4ull},
+        {"bpc/eraser_m", 0x3bef0a7e90379370ull},
+        {"bpc/gladiator", 0xc9ed9c50397dacfeull},
+        {"bpc/gladiator_m", 0x3fa8c3382a34139aull},
+        {"bpc/gladiator_d", 0x21da486e81f30f7bull},
+        {"bpc/gladiator_d_m", 0x5ff03a5af0ec0a5full},
+    };
+    std::string actual;
+    for (const char* code : kDigestCodes) {
+        const auto inst = campaign::make_code(code);
+        const DigestInputs in(inst->code.n_checks(), 0xD16E57ull);
+        for (const std::string& policy : digest_policies()) {
+            const std::string key = std::string(code) + "/" + policy;
+            const uint64_t h = schedule_digest(inst->ctx, policy, in);
+            char line[96];
+            std::snprintf(line, sizeof(line),
+                          "        {\"%s\", 0x%016llxull},\n", key.c_str(),
+                          static_cast<unsigned long long>(h));
+            actual += line;
+            const auto it = pinned.find(key);
+            EXPECT_TRUE(it != pinned.end() && it->second == h)
+                << key << " digest changed";
+        }
+    }
+    EXPECT_EQ(pinned.size(), std::size(kDigestCodes) *
+                                 digest_policies().size());
+    if (HasFailure())
+        std::printf("actual digests:\n%s", actual.c_str());
 }
 
 }  // namespace

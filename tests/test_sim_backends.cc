@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "campaign/registry.h"
 #include "codes/color_code.h"
 #include "codes/surface_code.h"
 #include "metrics_test_util.h"
@@ -626,6 +627,68 @@ TEST(BatchFrameBitEquality, ScalarInterfaceCallsMatchFrameDrawForDraw)
         EXPECT_EQ(frame->n_check_leaked(), batch->n_check_leaked());
     }
 }
+
+// Every registry policy, not only the handful above: frame and
+// batch_frame must agree bitwise with LER and leakage sampling on, at
+// several batch widths, with a partial trailing block in every stream.
+struct PolicyEqualityCase {
+    const char* code;
+    std::string policy;
+    int batch_words;
+};
+
+class EveryPolicyBitEquality
+    : public ::testing::TestWithParam<PolicyEqualityCase> {};
+
+TEST_P(EveryPolicyBitEquality, BatchFrameMatchesFrame)
+{
+    const PolicyEqualityCase& pc = GetParam();
+    const auto inst = campaign::make_code(pc.code);
+    ExperimentConfig cfg;
+    cfg.np = NoiseParams::standard(2e-3, 0.5);  // busy leak dynamics
+    cfg.rounds = 5;
+    cfg.batch_words = pc.batch_words;
+    // Two streams, each one full block plus a partial trailing block
+    // whose boundary falls inside a word.
+    cfg.rng_streams = 2;
+    cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 37);
+    cfg.seed = 0xE7E2F0A11ull + static_cast<uint64_t>(pc.batch_words);
+    cfg.leakage_sampling = true;
+    cfg.compute_ler = true;
+    ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
+
+    const PolicyFactory factory = campaign::make_policy(pc.policy, cfg.np);
+    const Metrics frame =
+        run_backend(inst->ctx, cfg, SimBackend::kFrame, factory);
+    EXPECT_GT(frame.dlp_total, 0.0);
+    expect_metrics_identical(
+        frame, run_backend(inst->ctx, cfg, SimBackend::kBatchFrame,
+                           factory, 2));
+}
+
+std::vector<PolicyEqualityCase>
+every_policy_cases()
+{
+    std::vector<PolicyEqualityCase> out;
+    for (const char* code : {"surface:5", "color:7"}) {
+        for (const std::string& policy : campaign::known_policies()) {
+            for (int k : {1, 2, 8})
+                out.push_back({code, policy, k});
+        }
+    }
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchFrameBitEquality, EveryPolicyBitEquality,
+    ::testing::ValuesIn(every_policy_cases()),
+    [](const ::testing::TestParamInfo<PolicyEqualityCase>& tp) {
+        std::string name = std::string(tp.param.code) + "_" +
+                           tp.param.policy + "_K" +
+                           std::to_string(tp.param.batch_words);
+        std::replace(name.begin(), name.end(), ':', '_');
+        return name;
+    });
 
 TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
 {
