@@ -3,8 +3,20 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 namespace gld {
+
+void
+check_pattern_width(int bits, bool two_round)
+{
+    const int cap = two_round ? 2 * kMaxPatternBits : kMaxPatternBits;
+    if (bits > cap)
+        throw PatternWidthError(
+            std::string(two_round ? "two-round" : "single-round") +
+            " pattern table of " + std::to_string(bits) +
+            " bits exceeds the " + std::to_string(cap) + "-bit cap");
+}
 
 CodeContext::CodeContext(const CssCode& code, const RoundCircuit& rc,
                          PatternScope scope)
@@ -12,7 +24,7 @@ CodeContext::CodeContext(const CssCode& code, const RoundCircuit& rc,
 {
     const int n = code.n_data();
     class_of_.assign(n, -1);
-    observed_checks_.assign(n, {});
+    obs_offsets_.assign(1, 0);
     for (int q = 0; q < n; ++q) {
         PatternClass cls;
         for (const SlotRef& s : rc.slots_of(q)) {
@@ -23,17 +35,21 @@ CodeContext::CodeContext(const CssCode& code, const RoundCircuit& rc,
             cls.check_weights.push_back(
                 static_cast<int>(code.check(s.check).support.size()));
             if (obs)
-                observed_checks_[q].push_back(s.check);
+                obs_checks_.push_back(s.check);
         }
-        cls.k_obs = static_cast<int>(observed_checks_[q].size());
+        obs_offsets_.push_back(static_cast<int>(obs_checks_.size()));
+        const CheckSpan checks = observed_checks(q);
+        cls.k_obs = static_cast<int>(checks.size());
         max_degree_ = std::max(max_degree_, cls.k_obs);
 
         // Neighbour-leakage masks: which of q's observed bits a leaked
-        // neighbour (or a leaked slot ancilla) would randomize.
+        // neighbour (or a leaked slot ancilla) would randomize.  Only
+        // the table builders read them, and they refuse patterns wider
+        // than kMaxPatternBits, so wider classes skip the 32-bit masks.
         std::map<int, uint32_t> by_neighbor;
-        for (size_t i = 0; i < observed_checks_[q].size(); ++i) {
-            const int c = observed_checks_[q][i];
-            for (int q2 : code.check(c).support) {
+        for (size_t i = 0; cls.k_obs <= kMaxPatternBits && i < checks.size();
+             ++i) {
+            for (int q2 : code.check(checks[i]).support) {
                 if (q2 != q)
                     by_neighbor[q2] |= 1u << i;
             }
@@ -57,7 +73,7 @@ uint32_t
 CodeContext::pattern_of(int q, const std::vector<uint8_t>& detector) const
 {
     uint32_t pat = 0;
-    const auto& checks = observed_checks_[q];
+    const CheckSpan checks = observed_checks(q);
     for (size_t i = 0; i < checks.size(); ++i) {
         if (detector[checks[i]])
             pat |= 1u << i;

@@ -2,12 +2,33 @@
 #define GLD_CORE_CODE_CONTEXT_H_
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "circuit/round_circuit.h"
 #include "codes/css_code.h"
 
 namespace gld {
+
+/**
+ * Widest pattern a lookup table is built for: 2^12 entries per
+ * single-round table.  Two-round (GLADIATOR-D) keys concatenate two
+ * patterns, so their cap is 2 * kMaxPatternBits = 24 bits (2^24 entries).
+ * A high-degree qLDPC qubit beyond the cap is refused, not tabulated.
+ */
+constexpr int kMaxPatternBits = 12;
+
+/** A pattern table wider than kMaxPatternBits (per round) was requested. */
+class PatternWidthError : public std::invalid_argument {
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * Throws PatternWidthError unless a table keyed by `bits` bits (2k for a
+ * two-round table) fits the cap for its kind.
+ */
+void check_pattern_width(int bits, bool two_round);
 
 /** Which adjacent checks contribute bits to a data qubit's pattern. */
 enum class PatternScope : uint8_t {
@@ -74,15 +95,34 @@ class CodeContext {
     /**
      * Extracts data qubit q's pattern from this round's detector bits.
      * Bit i of the result is the detector of the i-th observed slot in
-     * time order.
+     * time order (q's degree must be at most 32).
      */
     uint32_t pattern_of(int q, const std::vector<uint8_t>& detector) const;
 
+    /** A read-only view of one qubit's run of the observed-check CSR. */
+    struct CheckSpan {
+        const int* first;
+        const int* last;
+        const int* begin() const { return first; }
+        const int* end() const { return last; }
+        size_t size() const { return static_cast<size_t>(last - first); }
+        int operator[](size_t i) const { return first[i]; }
+    };
+
     /** Observed adjacent checks of q, in slot (time) order. */
-    const std::vector<int>& observed_checks(int q) const
+    CheckSpan observed_checks(int q) const
     {
-        return observed_checks_[q];
+        return {obs_checks_.data() + obs_offsets_[q],
+                obs_checks_.data() + obs_offsets_[q + 1]};
     }
+
+    /**
+     * The observed checks of every data qubit as one CSR: qubit q's run
+     * is obs_checks()[obs_offsets()[q] .. obs_offsets()[q+1]), in slot
+     * order; obs_offsets() has n_data + 1 entries.
+     */
+    const std::vector<int>& obs_offsets() const { return obs_offsets_; }
+    const std::vector<int>& obs_checks() const { return obs_checks_; }
 
     /**
      * Default pattern scope for a code: kZOnly for self-dual codes (every
@@ -97,7 +137,8 @@ class CodeContext {
     PatternScope scope_;
     std::vector<PatternClass> classes_;
     std::vector<int> class_of_;
-    std::vector<std::vector<int>> observed_checks_;
+    std::vector<int> obs_offsets_;
+    std::vector<int> obs_checks_;
     int max_degree_ = 0;
 };
 

@@ -18,6 +18,22 @@ PatternTableSet::build(const CodeContext& ctx, const NoiseParams& np,
     return out;
 }
 
+PatternTableSet
+PatternTableSet::from_rule(const CodeContext& ctx,
+                           bool (*flag)(uint32_t pattern, int k))
+{
+    PatternTableSet out;
+    for (const PatternClass& cls : ctx.classes()) {
+        check_pattern_width(cls.k_obs, /*two_round=*/false);
+        std::vector<uint8_t> table(size_t{1} << cls.k_obs);
+        for (uint32_t s = 0; s < table.size(); ++s)
+            table[s] = flag(s, cls.k_obs) ? 1 : 0;
+        out.tables_.push_back(std::move(table));
+        out.bits_.push_back(cls.k_obs);
+    }
+    return out;
+}
+
 int
 PatternTableSet::flagged_count(int cls) const
 {

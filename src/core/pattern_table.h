@@ -20,11 +20,23 @@ namespace gld {
  */
 class PatternTableSet {
   public:
-    /** Builds the tables for every class of `ctx`. */
+    /**
+     * Builds the tables for every class of `ctx`.  Throws
+     * PatternWidthError if a class is wider than kMaxPatternBits.
+     */
     static PatternTableSet build(const CodeContext& ctx,
                                  const NoiseParams& np,
                                  const SpecModelOptions& opt,
                                  bool two_round);
+
+    /**
+     * Single-round tables flagging exactly the patterns `flag(pattern,
+     * k)` accepts, for every class of `ctx` (k = the class's width) —
+     * a fixed rule such as ERASER's popcount threshold as a table.
+     * Throws PatternWidthError like build().
+     */
+    static PatternTableSet from_rule(const CodeContext& ctx,
+                                     bool (*flag)(uint32_t pattern, int k));
 
     bool two_round() const { return two_round_; }
 

@@ -3,36 +3,23 @@
 namespace gld {
 
 EraserPolicy::EraserPolicy(const CodeContext& ctx, bool use_mlr)
-    : ctx_(&ctx), use_mlr_(use_mlr)
+    : TablePolicy(ctx,
+                  std::make_shared<const PatternTableSet>(
+                      PatternTableSet::from_rule(ctx, &EraserPolicy::flags)),
+                  use_mlr)
 {
 }
 
 int
 EraserPolicy::flagged_count(int k)
 {
+    check_pattern_width(k, /*two_round=*/false);
     int n = 0;
     for (uint32_t s = 0; s < (1u << k); ++s) {
-        if (__builtin_popcount(s) >= threshold(k))
+        if (flags(s, k))
             ++n;
     }
     return n;
-}
-
-void
-EraserPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
-{
-    (void)round;
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int k = ctx_->degree_of(q);
-        if (k == 0)
-            continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (__builtin_popcount(pat) >= threshold(k))
-            out->data_qubits.push_back(q);
-    }
-    if (use_mlr_)
-        append_mlr_checks(rr, out);
 }
 
 }  // namespace gld

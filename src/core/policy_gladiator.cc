@@ -1,74 +1,40 @@
-#include <cstddef>
 #include "core/policy_gladiator.h"
 
+#include <stdexcept>
+
 namespace gld {
+
+namespace {
+
+std::shared_ptr<const PatternTableSet>
+require_rounds(std::shared_ptr<const PatternTableSet> tables, bool two_round,
+               const char* who)
+{
+    if (tables == nullptr || tables->two_round() != two_round)
+        throw std::invalid_argument(std::string(who) + " needs " +
+                                    (two_round ? "two-round" : "single-round") +
+                                    " pattern tables");
+    return tables;
+}
+
+}  // namespace
 
 GladiatorPolicy::GladiatorPolicy(
     const CodeContext& ctx, std::shared_ptr<const PatternTableSet> tables,
     bool use_mlr)
-    : ctx_(&ctx), tables_(std::move(tables)), use_mlr_(use_mlr)
+    : TablePolicy(ctx,
+                  require_rounds(std::move(tables), false, "GladiatorPolicy"),
+                  use_mlr)
 {
-}
-
-void
-GladiatorPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
-{
-    (void)round;
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int cls = ctx_->class_of(q);
-        if (ctx_->degree_of(q) == 0)
-            continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (tables_->is_leak(cls, pat))
-            out->data_qubits.push_back(q);
-    }
-    if (use_mlr_)
-        append_mlr_checks(rr, out);
 }
 
 GladiatorDPolicy::GladiatorDPolicy(
     const CodeContext& ctx, std::shared_ptr<const PatternTableSet> tables,
     bool use_mlr)
-    : ctx_(&ctx), tables_(std::move(tables)), use_mlr_(use_mlr)
+    : TablePolicy(ctx,
+                  require_rounds(std::move(tables), true, "GladiatorDPolicy"),
+                  use_mlr)
 {
-    prev_pattern_.assign(ctx.code().n_data(), 0);
-    has_prev_.assign(ctx.code().n_data(), 0);
-}
-
-void
-GladiatorDPolicy::begin_shot()
-{
-    std::fill(prev_pattern_.begin(), prev_pattern_.end(), 0);
-    std::fill(has_prev_.begin(), has_prev_.end(), 0);
-}
-
-void
-GladiatorDPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
-{
-    (void)round;
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int k = ctx_->degree_of(q);
-        if (k == 0)
-            continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (has_prev_[q]) {
-            const uint32_t key = (prev_pattern_[q] << k) | pat;
-            const int cls = ctx_->class_of(q);
-            if (tables_->is_leak(cls, key)) {
-                out->data_qubits.push_back(q);
-                // The post-LRC window restarts: syndromes around the gadget
-                // are transient and must not seed the next decision.
-                has_prev_[q] = 0;
-                continue;
-            }
-        }
-        prev_pattern_[q] = pat;
-        has_prev_[q] = 1;
-    }
-    if (use_mlr_)
-        append_mlr_checks(rr, out);
 }
 
 }  // namespace gld

@@ -3,8 +3,7 @@
 
 #include <memory>
 
-#include "core/pattern_table.h"
-#include "core/policy.h"
+#include "core/table_policy.h"
 
 namespace gld {
 
@@ -14,7 +13,7 @@ namespace gld {
  * class's offline-built table; flagged patterns schedule an LRC for the
  * next round.  The +M variant also LRCs MLR-flagged ancillas.
  */
-class GladiatorPolicy : public Policy {
+class GladiatorPolicy : public TablePolicy {
   public:
     /**
      * @param tables single-round tables from PatternTableSet::build(...,
@@ -25,20 +24,8 @@ class GladiatorPolicy : public Policy {
                     bool use_mlr);
     std::string name() const override
     {
-        return use_mlr_ ? "GLADIATOR+M" : "GLADIATOR";
+        return use_mlr() ? "GLADIATOR+M" : "GLADIATOR";
     }
-    void observe(int round, const RoundResult& rr, LrcSchedule* out) override;
-
-    /** The (possibly shared) offline tables driving this policy. */
-    const std::shared_ptr<const PatternTableSet>& tables() const
-    {
-        return tables_;
-    }
-
-  private:
-    const CodeContext* ctx_;
-    std::shared_ptr<const PatternTableSet> tables_;
-    bool use_mlr_;
 };
 
 /**
@@ -48,7 +35,7 @@ class GladiatorPolicy : public Policy {
  * second-round signatures while leakage stays random, so deferral cuts
  * false positives — crucial for the information-poor color-code patterns.
  */
-class GladiatorDPolicy : public Policy {
+class GladiatorDPolicy : public TablePolicy {
   public:
     /** @param tables two-round tables (two_round = true). */
     GladiatorDPolicy(const CodeContext& ctx,
@@ -56,23 +43,8 @@ class GladiatorDPolicy : public Policy {
                      bool use_mlr);
     std::string name() const override
     {
-        return use_mlr_ ? "GLADIATOR-D+M" : "GLADIATOR-D";
+        return use_mlr() ? "GLADIATOR-D+M" : "GLADIATOR-D";
     }
-    void begin_shot() override;
-    void observe(int round, const RoundResult& rr, LrcSchedule* out) override;
-
-    /** The (possibly shared) offline tables driving this policy. */
-    const std::shared_ptr<const PatternTableSet>& tables() const
-    {
-        return tables_;
-    }
-
-  private:
-    const CodeContext* ctx_;
-    std::shared_ptr<const PatternTableSet> tables_;
-    bool use_mlr_;
-    std::vector<uint32_t> prev_pattern_;
-    std::vector<uint8_t> has_prev_;
 };
 
 }  // namespace gld

@@ -1,20 +1,46 @@
 #include "core/policy_static.h"
 
+#include <algorithm>
+
 #include "circuit/schedule.h"
 
 namespace gld {
 
+namespace {
+
+/** Every span of `words` (K words each) := active if pick(i), else 0. */
+template <typename Pick>
 void
-AlwaysLrcPolicy::observe(int, const RoundResult&, LrcSchedule* out)
+fill_spans(std::vector<LaneMask>* words, const RoundWords& in, Pick pick)
 {
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q)
-        out->data_qubits.push_back(q);
-    for (int c = 0; c < ctx_->code().n_checks(); ++c)
-        out->checks.push_back(c);
+    const size_t K = static_cast<size_t>(in.n_words);
+    const size_t n = words->size() / K;
+    for (size_t i = 0; i < n; ++i) {
+        const bool on = pick(static_cast<int>(i));
+        for (size_t w = 0; w < K; ++w)
+            (*words)[i * K + w] = on ? in.active[w] : 0;
+    }
 }
 
-StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx) : ctx_(&ctx)
+}  // namespace
+
+void
+NoLrcPolicy::observe_words(int, const RoundWords&, LrcMasks* out)
+{
+    std::fill(out->data.begin(), out->data.end(), 0);
+    std::fill(out->checks.begin(), out->checks.end(), 0);
+}
+
+void
+AlwaysLrcPolicy::observe_words(int, const RoundWords& in, LrcMasks* out)
+{
+    const auto all = [](int) { return true; };
+    fill_spans(&out->data, in, all);
+    fill_spans(&out->checks, in, all);
+}
+
+StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx)
+    : WordPolicy(ctx)
 {
     const CssCode& code = ctx.code();
     const int n = code.n_qubits();
@@ -35,20 +61,18 @@ StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx) : ctx_(&ctx)
 }
 
 void
-StaggeredLrcPolicy::observe(int round, const RoundResult&, LrcSchedule* out)
+StaggeredLrcPolicy::observe_words(int round, const RoundWords& in,
+                                  LrcMasks* out)
 {
-    out->clear();
     // The group LRC'd at the START of round (round + 1).
     const int group = (round + 1) % n_colors_;
-    const CssCode& code = ctx_->code();
-    for (int q = 0; q < code.n_data(); ++q) {
-        if (colors_[q] == group)
-            out->data_qubits.push_back(q);
-    }
-    for (int c = 0; c < code.n_checks(); ++c) {
-        if (colors_[code.ancilla_of(c)] == group)
-            out->checks.push_back(c);
-    }
+    const CssCode& code = ctx().code();
+    fill_spans(&out->data, in, [&](int q) {
+        return colors_[static_cast<size_t>(q)] == group;
+    });
+    fill_spans(&out->checks, in, [&](int c) {
+        return colors_[static_cast<size_t>(code.ancilla_of(c))] == group;
+    });
 }
 
 }  // namespace gld

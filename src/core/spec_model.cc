@@ -128,6 +128,7 @@ PatternWeights
 SpecModel::single_round(const PatternClass& cls, const NoiseParams& np,
                         const SpecModelOptions& opt)
 {
+    check_pattern_width(cls.k_obs, /*two_round=*/false);
     const ClassGeometry g(cls);
     PatternWeights out;
     out.bits = g.k;
@@ -201,6 +202,7 @@ PatternWeights
 SpecModel::two_round(const PatternClass& cls, const NoiseParams& np,
                      const SpecModelOptions& opt)
 {
+    check_pattern_width(2 * cls.k_obs, /*two_round=*/true);
     const ClassGeometry g(cls);
     const int k = g.k;
     PatternWeights out;

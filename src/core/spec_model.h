@@ -81,6 +81,8 @@ struct PatternWeights {
  */
 class SpecModel {
   public:
+    // Both builders throw PatternWidthError (core/code_context.h) for a
+    // class wider than kMaxPatternBits observed bits.
     static PatternWeights single_round(const PatternClass& cls,
                                        const NoiseParams& np,
                                        const SpecModelOptions& opt);

@@ -20,17 +20,19 @@ namespace gld {
  * One executor slot's reusable block state.  Everything a block used to
  * construct or allocate per (stream, block) lives here instead, owned by
  * the slot for the whole run_partials loop: the simulator is
- * reset_for_block()-ed per block, policies are rebuilt never (begin_shot
- * is the per-shot reset), the decoder keeps its arena, and the scratch
- * vectors keep their capacity (assign/resize write the same initial
- * values a fresh vector would hold, so reuse is bit-identical to fresh —
- * the determinism gate's reuse ≡ fresh arm runs with
+ * reset_for_block()-ed per block, the policy is rebuilt never (begin_shot
+ * / begin_batch is the per-shot reset), the decoder keeps its arena, and
+ * the scratch vectors keep their capacity (assign/resize write the same
+ * initial values a fresh vector would hold, so reuse is bit-identical to
+ * fresh — the determinism gate's reuse ≡ fresh arm runs with
  * cfg.reuse_worker_state = false, which clears this struct per block).
  * alignas: adjacent slots' vector headers must not share a cache line.
  */
 struct alignas(64) ExperimentRunner::BlockResources {
     std::unique_ptr<Simulator> sim;
-    std::vector<std::unique_ptr<Policy>> policies;  ///< scalar path: [0]
+    /// The slot's policy; on the batch path always a WordPolicy (a
+    /// policy without a word kernel arrives wrapped in PerLanePolicy).
+    std::unique_ptr<Policy> policy;
     std::unique_ptr<UnionFindDecoder> decoder;
 
     // Scalar-path scratch.
@@ -38,10 +40,8 @@ struct alignas(64) ExperimentRunner::BlockResources {
     std::vector<int> defects1;
 
     // Batch-path scratch (mirrors the locals the batch block held).
-    std::vector<LrcSchedule> scheds;
-    std::vector<RoundResult> rr;
-    std::vector<std::vector<uint8_t>> flips;
-    std::vector<LaneMask> sched_word;
+    LrcMasks masks;
+    std::vector<LaneMask> final_det;  ///< final detector span per Z check
     std::vector<int> data_leaked;
     std::vector<int> check_leaked;
     std::vector<std::vector<double>> dlp_buf;
@@ -133,9 +133,9 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // One cached policy per slot (in-tree policies ignore the factory
     // seed and fully reset in begin_shot — the PolicyFactory contract);
     // the oracle is rebound every block.
-    if (res->policies.empty())
-        res->policies.push_back(factory(*ctx_, policy_seed));
-    Policy* policy = res->policies.front().get();
+    if (res->policy == nullptr)
+        res->policy = factory(*ctx_, policy_seed);
+    Policy* policy = res->policy.get();
     policy->set_oracle(sim);
     clock.lap(telemetry::kPolicy);  // policy build/rebind
     // Ground truth for the speculation accounting below: the shared
@@ -286,22 +286,27 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     if (cfg_.record_dlp_series)
         m.dlp_series.assign(static_cast<size_t>(rounds), 0.0);
 
-    // One policy per lane, from the slot's cache — the pre-reuse path
-    // built all max_lanes from the block's one policy seed (exactly the
-    // seed the scalar path hands its single policy; in-tree policies
-    // derive no randomness from it, and per-shot behaviour is reset by
-    // begin_shot, so lane k's policy replays the scalar policy's k-th
-    // shot).  The cache only ever GROWS (a partial trailing block needs
-    // fewer lanes than a full one); each lane's oracle view is rebound
-    // per block to show only that lane's truth on this block's simulator.
-    std::vector<std::unique_ptr<Policy>>& policies = res->policies;
-    policies.reserve(static_cast<size_t>(max_lanes));
-    while (static_cast<int>(policies.size()) < max_lanes)
-        policies.push_back(factory(*ctx_, policy_seed));
-    for (int l = 0; l < max_lanes; ++l)
-        policies[static_cast<size_t>(l)]->set_leak_oracle(
-            &sim.lane_oracle(l));
-    clock.lap(telemetry::kPolicy);  // per-lane policy builds/rebinds
+    // One word-parallel policy per slot, decided for all lanes at once.
+    // A factory policy without a word kernel runs behind the per-lane
+    // fallback adapter, whose lane instances come from the same factory
+    // and seed (in-tree policies derive nothing from the seed, and
+    // begin_batch resets every lane's shot state, so lane k replays the
+    // scalar policy's k-th shot).
+    if (res->policy == nullptr) {
+        std::unique_ptr<Policy> p = factory(*ctx_, policy_seed);
+        if (dynamic_cast<WordPolicy*>(p.get()) == nullptr) {
+            const CodeContext* ctx = ctx_;
+            p = std::make_unique<PerLanePolicy>(
+                *ctx_,
+                [factory, ctx, policy_seed] {
+                    return factory(*ctx, policy_seed);
+                },
+                std::move(p));
+        }
+        res->policy = std::move(p);
+    }
+    WordPolicy* policy = static_cast<WordPolicy*>(res->policy.get());
+    clock.lap(telemetry::kPolicy);  // policy build
 
     if (graph != nullptr && res->decoder == nullptr)
         res->decoder = std::make_unique<UnionFindDecoder>(*graph);
@@ -312,23 +317,16 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
 
     // Per-block scratch out of the slot's cache: resize() writes the
     // same sizes a fresh block's locals had, every element below is
-    // written before it is read (scheds are cleared per batch, the word/
+    // written before it is read (the masks are reset per batch, the
     // count scratch is zero-filled per round, the buffers per (lane,
     // round) cell per round), so stale content from the previous block
     // is never observable — reuse stays bit-identical to fresh.
-    std::vector<LrcSchedule>& scheds = res->scheds;
-    if (static_cast<int>(scheds.size()) < max_lanes)
-        scheds.resize(static_cast<size_t>(max_lanes));
-    std::vector<RoundResult>& rr = res->rr;
-    std::vector<std::vector<uint8_t>>& flips = res->flips;
-    // Word-wide accounting scratch: which lanes scheduled an LRC on each
-    // data qubit this round (the FN check is then one popcount per
-    // qubit word), and per-lane leak counts gathered by one sparse pass
-    // over the leak words instead of 64*K oracle walks.  Spans of W
-    // words per qubit, same layout as the simulator's leaked_words().
-    std::vector<LaneMask>& sched_word = res->sched_word;
-    sched_word.assign(
-        static_cast<size_t>(n_data) * static_cast<size_t>(W), 0);
+    const size_t Ws = static_cast<size_t>(W);
+    LrcMasks& masks = res->masks;
+    std::vector<LaneMask>& final_det = res->final_det;
+    final_det.resize(static_cast<size_t>(nz) * Ws);
+    // Per-lane leak counts, gathered by one sparse pass over the leak
+    // words instead of 64*K oracle walks.
     std::vector<int>& data_leaked = res->data_leaked;
     std::vector<int>& check_leaked = res->check_leaked;
     data_leaked.assign(static_cast<size_t>(max_lanes), 0);
@@ -336,6 +334,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     // Float accumulators are buffered per (lane, round) and replayed
     // shot-major below: double addition is order-sensitive, and the gate
     // vs the scalar backend is BIT-exact equality, not approximation.
+    // The speculation counts are integer-valued, hence order-insensitive,
+    // and are summed straight off the mask words.
     std::vector<std::vector<double>>& dlp_buf = res->dlp_buf;
     std::vector<std::vector<double>>& chk_buf = res->chk_buf;
     if (static_cast<int>(dlp_buf.size()) < max_lanes) {
@@ -351,6 +351,10 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     std::vector<std::vector<int>>& defects = res->defects;
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
+
+    const auto popcount = [](LaneMask x) {
+        return static_cast<double>(__builtin_popcountll(x));
+    };
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -368,70 +372,68 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                 lanes_mask[w] = 0;
         }
         sim.reset_shot_batch(lanes);
+        policy->begin_batch(lanes_mask, W);
+        masks.reset(n_data, n_checks, W);
         for (int l = 0; l < lanes; ++l) {
-            const size_t li = static_cast<size_t>(l);
-            policies[li]->begin_shot();
-            scheds[li].clear();
             // Same per-shot draw the scalar path makes, in lane (= shot)
             // order, from the same block-level stream.
             if (cfg_.leakage_sampling)
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
                            static_cast<uint32_t>(n_data))));
-            defects[li].clear();
+            defects[static_cast<size_t>(l)].clear();
         }
         clock.lap(telemetry::kSim);  // batch reset + leak injection
 
         for (int r = 0; r < rounds; ++r) {
             // Account the LRCs about to be applied against each lane's
-            // ground truth (integer-valued adds: order-insensitive).
+            // ground truth: popcounts of mask AND leak AND active.
             const LaneMask* leak_words = sim.leaked_words();
-            for (int l = 0; l < lanes; ++l) {
-                const size_t li = static_cast<size_t>(l);
-                for (int q : scheds[li].data_qubits) {
-                    if (lane_bit(&leak_words[static_cast<size_t>(q) *
-                                             static_cast<size_t>(W)],
-                                 l))
-                        m.tp_total += 1;
-                    else
-                        m.fp_total += 1;
+            for (int q = 0; q < n_data; ++q) {
+                const size_t qb = static_cast<size_t>(q) * Ws;
+                for (int w = 0; w < W; ++w) {
+                    const size_t i = qb + static_cast<size_t>(w);
+                    const LaneMask lrc = masks.data[i] & lanes_mask[w];
+                    m.tp_total += popcount(lrc & leak_words[i]);
+                    m.fp_total += popcount(lrc & ~leak_words[i]);
+                    m.lrc_data_total += popcount(lrc);
                 }
-                m.lrc_data_total +=
-                    static_cast<double>(scheds[li].data_qubits.size());
-                m.lrc_check_total +=
-                    static_cast<double>(scheds[li].checks.size());
+            }
+            for (int c = 0; c < n_checks; ++c) {
+                for (int w = 0; w < W; ++w)
+                    m.lrc_check_total += popcount(
+                        masks.checks[static_cast<size_t>(c) * Ws +
+                                     static_cast<size_t>(w)] &
+                        lanes_mask[w]);
             }
             clock.lap(telemetry::kAccounting);
 
-            sim.run_round_batch(scheds, &rr);
+            sim.run_round_masks(masks);
             clock.lap(telemetry::kSim);
 
-            for (int l = 0; l < lanes; ++l)
-                policies[static_cast<size_t>(l)]->observe(
-                    r, rr[static_cast<size_t>(l)],
-                    &scheds[static_cast<size_t>(l)]);
+            RoundWords in;
+            in.n_words = W;
+            in.active = lanes_mask;
+            in.detector = sim.detector_words();
+            in.mlr_flag = sim.mlr_flag_words();
+            in.meas_flip = sim.meas_flip_words();
+            in.leaked = leak_words;
+            policy->observe_words(r, in, &masks);
             clock.lap(telemetry::kPolicy);
 
-            // False negatives + leak populations, word-wide: one pass
-            // over the leak words replaces 64 per-lane oracle walks.
-            std::fill(sched_word.begin(), sched_word.end(), 0);
-            for (int l = 0; l < lanes; ++l) {
-                for (int q : scheds[static_cast<size_t>(l)].data_qubits)
-                    set_lane_bit(&sched_word[static_cast<size_t>(q) *
-                                             static_cast<size_t>(W)],
-                                 l);
-            }
+            // False negatives (leaked data qubits the policy did not
+            // schedule) + leak populations, word-wide: one pass over the
+            // leak words replaces 64 per-lane oracle walks.
             std::fill(data_leaked.begin(), data_leaked.end(), 0);
             std::fill(check_leaked.begin(), check_leaked.end(), 0);
             for (int q = 0; q < n_data; ++q) {
-                const size_t qb = static_cast<size_t>(q) *
-                                  static_cast<size_t>(W);
+                const size_t qb = static_cast<size_t>(q) * Ws;
                 for (int w = 0; w < W; ++w) {
                     const LaneMask lk =
                         leak_words[qb + static_cast<size_t>(w)] &
                         lanes_mask[w];
-                    m.fn_total += static_cast<double>(__builtin_popcountll(
-                        lk & ~sched_word[qb + static_cast<size_t>(w)]));
+                    m.fn_total += popcount(
+                        lk & ~masks.data[qb + static_cast<size_t>(w)]);
                     const int base = w * kBatchLanes;
                     for_each_lane(lk, [&](int b) {
                         ++data_leaked[static_cast<size_t>(base + b)];
@@ -439,8 +441,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                 }
             }
             for (int c = 0; c < n_checks; ++c) {
-                const size_t ab = static_cast<size_t>(code.ancilla_of(c)) *
-                                  static_cast<size_t>(W);
+                const size_t ab =
+                    static_cast<size_t>(code.ancilla_of(c)) * Ws;
                 for (int w = 0; w < W; ++w) {
                     const LaneMask lk =
                         leak_words[ab + static_cast<size_t>(w)] &
@@ -461,8 +463,7 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                 if (telem->heatmap.enabled()) {
                     uint64_t* row = telem->heatmap.row(r);
                     for (int q = 0; q < n_data; ++q) {
-                        const size_t qb = static_cast<size_t>(q) *
-                                          static_cast<size_t>(W);
+                        const size_t qb = static_cast<size_t>(q) * Ws;
                         for (int w = 0; w < W; ++w)
                             row[q] += static_cast<uint64_t>(
                                 __builtin_popcountll(
@@ -472,8 +473,7 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     uint64_t* crow = row + n_data;
                     for (int c = 0; c < n_checks; ++c) {
                         const size_t ab =
-                            static_cast<size_t>(code.ancilla_of(c)) *
-                            static_cast<size_t>(W);
+                            static_cast<size_t>(code.ancilla_of(c)) * Ws;
                         for (int w = 0; w < W; ++w)
                             crow[c] += static_cast<uint64_t>(
                                 __builtin_popcountll(
@@ -493,17 +493,16 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             // per Z check touches only the lanes that fired, in
             // ascending zi, so every lane's list stays ascending.
             if (graph != nullptr) {
-                const LaneMask* det_words = sim.detector_words();
                 for (int zi = 0; zi < nz; ++zi) {
                     const size_t cb =
                         static_cast<size_t>(
                             z_checks[static_cast<size_t>(zi)]) *
-                        static_cast<size_t>(W);
+                        Ws;
                     const int node = r * nz + zi;
                     for (int w = 0; w < W; ++w) {
                         const int base = w * kBatchLanes;
                         for_each_lane(
-                            det_words[cb + static_cast<size_t>(w)] &
+                            in.detector[cb + static_cast<size_t>(w)] &
                                 lanes_mask[w],
                             [&](int b) {
                                 defects[static_cast<size_t>(base + b)]
@@ -515,9 +514,31 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             clock.lap(telemetry::kAccounting);
         }
 
+        // Final-round detectors (last meas_flip XOR the data readout
+        // over each Z check's support) and the logical-Z readout, as
+        // lane words.
+        LaneMask observed[kMaxBatchWords] = {};
         if (graph != nullptr) {
-            sim.final_data_measure_batch(&flips);
+            const LaneMask* flips = sim.final_data_measure_words();
             clock.lap(telemetry::kSim);
+            const LaneMask* meas = sim.meas_flip_words();
+            for (int zi = 0; zi < nz; ++zi) {
+                const int zc = z_checks[static_cast<size_t>(zi)];
+                for (int w = 0; w < W; ++w) {
+                    LaneMask d = meas[static_cast<size_t>(zc) * Ws +
+                                      static_cast<size_t>(w)];
+                    for (int q : code.check(zc).support)
+                        d ^= flips[static_cast<size_t>(q) * Ws +
+                                   static_cast<size_t>(w)];
+                    final_det[static_cast<size_t>(zi) * Ws +
+                              static_cast<size_t>(w)] = d;
+                }
+            }
+            for (int q : code.logical_z()) {
+                for (int w = 0; w < W; ++w)
+                    observed[w] ^= flips[static_cast<size_t>(q) * Ws +
+                                         static_cast<size_t>(w)];
+            }
         }
 
         // Shot-major replay of the per-shot tail: the float sums in the
@@ -533,20 +554,13 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             }
             if (graph != nullptr) {
                 for (int zi = 0; zi < nz; ++zi) {
-                    const int zc = z_checks[static_cast<size_t>(zi)];
-                    uint8_t det = rr[li].meas_flip[static_cast<size_t>(zc)];
-                    for (int q : code.check(zc).support)
-                        det ^= flips[li][static_cast<size_t>(q)];
-                    if (det)
+                    if (lane_bit(&final_det[static_cast<size_t>(zi) * Ws], l))
                         defects[li].push_back(rounds * nz + zi);
                 }
-                uint8_t observed = 0;
-                for (int q : code.logical_z())
-                    observed ^= flips[li][static_cast<size_t>(q)];
                 clock.lap(telemetry::kAccounting);
                 const bool predicted = decoder->decode_defects(defects[li]);
                 clock.lap(telemetry::kDecode);
-                if ((observed != 0) != predicted)
+                if (lane_bit(observed, l) != predicted)
                     ++m.logical_errors;
                 ++m.decoded_shots;
             }
@@ -719,8 +733,8 @@ ExperimentRunner::run(const PolicyFactory& factory) const
 PolicyFactory
 PolicyZoo::no_lrc()
 {
-    return [](const CodeContext&, uint64_t) {
-        return std::make_unique<NoLrcPolicy>();
+    return [](const CodeContext& ctx, uint64_t) {
+        return std::make_unique<NoLrcPolicy>(ctx);
     };
 }
 

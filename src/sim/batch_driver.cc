@@ -362,6 +362,7 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     meas_flip_.assign(nc * W, 0);
     mlr_flag_.assign(nc * W, 0);
     det_scratch_.assign(nc * W, 0);
+    final_flip_.assign(static_cast<size_t>(code.n_data()) * W, 0);
     // Same fixed LRC partner per data qubit as the scalar driver.
     lrc_partner_.assign(static_cast<size_t>(code.n_data()), -1);
     for (int q = 0; q < code.n_data(); ++q) {
@@ -370,6 +371,7 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
                 code.data_adjacency()[q].front();
     }
     const int max_lanes = words_ * kBatchLanes;
+    lane_lrc_.resize(static_cast<size_t>(max_lanes));
     lane_oracles_.resize(static_cast<size_t>(max_lanes));
     for (int l = 0; l < max_lanes; ++l)
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
@@ -445,6 +447,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
     std::fill(meas_flip_.begin(), meas_flip_.end(), 0);
     std::fill(mlr_flag_.begin(), mlr_flag_.end(), 0);
     std::fill(det_scratch_.begin(), det_scratch_.end(), 0);
+    std::fill(final_flip_.begin(), final_flip_.end(), 0);
     first_round_ = true;
     if (sparse_) {
         sparse_reset(0);
@@ -988,29 +991,68 @@ BatchLeakageDriver::apply_lrc_check(int c, int lane)
         set_leak_lane(anc, lane);
 }
 
+void
+BatchLeakageDriver::apply_lrcs(const LrcMasks& lrcs)
+{
+    const int n_data = code_->n_data();
+    const size_t W = static_cast<size_t>(words_);
+    if (lrcs.n_words != words_ ||
+        lrcs.data.size() != static_cast<size_t>(n_data) * W ||
+        lrcs.checks.size() != static_cast<size_t>(code_->n_checks()) * W)
+        throw std::invalid_argument(
+            "run_round_masks: masks not sized for this code at " +
+            std::to_string(words_) + " words (LrcMasks::reset)");
+    // Bucket the mask bits into per-lane lists: qubits ascending (data
+    // first, checks after), so each lane's list is in the LrcMasks order.
+    LaneMask any = 0;
+    const auto bucket = [&](const std::vector<LaneMask>& words, int id0) {
+        const int n = static_cast<int>(words.size() / W);
+        for (int v = 0; v < n; ++v) {
+            for (int w = 0; w < words_; ++w) {
+                const LaneMask m =
+                    words[static_cast<size_t>(v) * W +
+                          static_cast<size_t>(w)] &
+                    active_[w];
+                if (m == 0)
+                    continue;
+                any |= m;
+                const int base = w * kBatchLanes;
+                for_each_lane(m, [&](int b) {
+                    lane_lrc_[static_cast<size_t>(base + b)].push_back(id0 +
+                                                                       v);
+                });
+            }
+        }
+    };
+    bucket(lrcs.data, 0);
+    bucket(lrcs.checks, n_data);
+    if (any == 0)
+        return;
+    // Lane by lane in ascending lane order: sparse mode draws the gadget
+    // payloads from one event stream, so the lane order is part of the
+    // draw sequence (lockstep lanes draw from their own streams only).
+    for (int l = 0; l < n_lanes_; ++l) {
+        std::vector<int>& list = lane_lrc_[static_cast<size_t>(l)];
+        for (int id : list) {
+            if (id < n_data)
+                apply_lrc_data(id, l);
+            else
+                apply_lrc_check(id - n_data, l);
+        }
+        list.clear();
+    }
+}
+
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
-                                std::vector<RoundResult>* out)
+BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
 {
-    if (lane_lrcs.size() < static_cast<size_t>(n_lanes_))
-        throw std::invalid_argument(
-            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
-            " schedules for " + std::to_string(n_lanes_) + " lanes");
     const int n_checks = code_->n_checks();
     const int W = WT > 0 ? WT : words_;
     const size_t Ws = static_cast<size_t>(W);
 
-    // 1. Scheduled LRC gadgets, per lane in that lane's schedule order
-    //    (each lane draws only from its own stream, so lane interleaving
-    //    is free to be loop order).
-    for (int l = 0; l < n_lanes_; ++l) {
-        const LrcSchedule& sched = lane_lrcs[static_cast<size_t>(l)];
-        for (int q : sched.data_qubits)
-            apply_lrc_data(q, l);
-        for (int c : sched.checks)
-            apply_lrc_check(c, l);
-    }
+    // 1. Scheduled LRC gadgets.
+    apply_lrcs(lrcs);
 
     // 2. Round-start data noise (fused pair per qubit).
     for (int q = 0; q < code_->n_data(); ++q)
@@ -1174,21 +1216,7 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
         }
     }
 
-    // 4. Detector words, then the per-lane transpose the policies read.
-    //    Every entry of every lane is (re)written below, so the vectors
-    //    are only sized here — no zero-fill churn per round.
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l) {
-        RoundResult& rr = (*out)[static_cast<size_t>(l)];
-        if (rr.meas_flip.size() != static_cast<size_t>(n_checks)) {
-            rr.meas_flip.resize(static_cast<size_t>(n_checks));
-            rr.detector.resize(static_cast<size_t>(n_checks));
-            rr.mlr_flag.resize(static_cast<size_t>(n_checks));
-        }
-    }
-    // Detector words first (also advances prev_meas_), then a lane-major
-    // transpose: per lane the writes are small contiguous runs, instead
-    // of scattering one byte into 64 different vectors per check.
+    // 4. Detector words (also advances prev_meas_).
     for (int c = 0; c < n_checks; ++c) {
         const bool zero_det =
             first_round_ && code_->check(c).type == CheckType::kX;
@@ -1200,12 +1228,30 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
             prev_meas_[i] = meas;
         }
     }
+    first_round_ = false;
+}
+
+void
+BatchLeakageDriver::unpack_round(std::vector<RoundResult>* out) const
+{
+    const int n_checks = code_->n_checks();
+    const size_t Ws = static_cast<size_t>(words_);
+    // Every entry of every lane is (re)written below, so the vectors are
+    // only sized here — no zero-fill churn per round.
+    out->resize(static_cast<size_t>(n_lanes_));
+    for (int l = 0; l < n_lanes_; ++l) {
+        RoundResult& rr = (*out)[static_cast<size_t>(l)];
+        if (rr.meas_flip.size() != static_cast<size_t>(n_checks)) {
+            rr.meas_flip.resize(static_cast<size_t>(n_checks));
+            rr.detector.resize(static_cast<size_t>(n_checks));
+            rr.mlr_flag.resize(static_cast<size_t>(n_checks));
+        }
+    }
     // 8x8 tiles: spread each check word's 8-lane byte to 0/1 bytes, byte-
     // transpose the tile, and store eight checks of one lane with a
-    // single 8-byte write.  ~1 op/byte instead of a scalar bit-extract
-    // per (lane, check, array) — this transpose was 30% of the whole
-    // batch path before.  An 8-lane group g lives in word g/8 of each
-    // check's span, byte g%8.
+    // single 8-byte write — ~1 op/byte instead of a scalar bit-extract
+    // per (lane, check, array).  An 8-lane group g lives in word g/8 of
+    // each check's span, byte g%8.
     const auto transpose_into =
         [&](const std::vector<LaneMask>& words,
             std::vector<uint8_t> RoundResult::*field) {
@@ -1237,7 +1283,6 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
     transpose_into(meas_flip_, &RoundResult::meas_flip);
     transpose_into(det_scratch_, &RoundResult::detector);
     transpose_into(mlr_flag_, &RoundResult::mlr_flag);
-    first_round_ = false;
 }
 
 // The cloned shells: one words_ dispatch per round (not per op) picks a
@@ -1248,27 +1293,37 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
 // shell + always_inline-template split.
 GLD_BATCH_HOT
 void
+BatchLeakageDriver::run_round_masks(const LrcMasks& lrcs)
+{
+    switch (words_) {
+      case 1: run_round_t<1>(lrcs); break;
+      case 2: run_round_t<2>(lrcs); break;
+      case 4: run_round_t<4>(lrcs); break;
+      case 8: run_round_t<8>(lrcs); break;
+      default: run_round_t<0>(lrcs); break;
+    }
+}
+
+void
 BatchLeakageDriver::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                     std::vector<RoundResult>* out)
 {
-    switch (words_) {
-      case 1: run_round_t<1>(lane_lrcs, out); break;
-      case 2: run_round_t<2>(lane_lrcs, out); break;
-      case 4: run_round_t<4>(lane_lrcs, out); break;
-      case 8: run_round_t<8>(lane_lrcs, out); break;
-      default: run_round_t<0>(lane_lrcs, out); break;
-    }
+    if (lane_lrcs.size() < static_cast<size_t>(n_lanes_))
+        throw std::invalid_argument(
+            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
+            " schedules for " + std::to_string(n_lanes_) + " lanes");
+    pack_scratch_.reset(code_->n_data(), code_->n_checks(), words_);
+    for (int l = 0; l < n_lanes_; ++l)
+        pack_scratch_.add_lane(l, lane_lrcs[static_cast<size_t>(l)]);
+    run_round_masks(pack_scratch_);
+    unpack_round(out);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
+BatchLeakageDriver::final_measure_t()
 {
     const int W = WT > 0 ? WT : words_;
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l)
-        (*out)[static_cast<size_t>(l)].assign(
-            static_cast<size_t>(code_->n_data()), 0);
     for (int q = 0; q < code_->n_data(); ++q) {
         const LaneMask* lq = leaked(q);
         LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
@@ -1278,7 +1333,8 @@ BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
         }
         LaneMask measured[kMaxBatchWords];
         state_->measure_z(q, measured);
-        LaneMask flip[kMaxBatchWords];
+        LaneMask* flip =
+            &final_flip_[static_cast<size_t>(q) * static_cast<size_t>(W)];
         if (sparse_) {
             LaneMask err[kMaxBatchWords];
             sparse_bernoulli_mask<WT>(rate_p_, ok, err);
@@ -1317,23 +1373,38 @@ BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
                 flip[w] = ((measured[w] ^ err) & ok[w]) | (rnd[w] & lk[w]);
             }
         }
-        for (int l = 0; l < n_lanes_; ++l)
-            (*out)[static_cast<size_t>(l)][static_cast<size_t>(q)] =
-                static_cast<uint8_t>((flip[l >> 6] >> (l & 63)) & 1u);
     }
 }
 
 GLD_BATCH_HOT
+const LaneMask*
+BatchLeakageDriver::final_data_measure_words()
+{
+    switch (words_) {
+      case 1: final_measure_t<1>(); break;
+      case 2: final_measure_t<2>(); break;
+      case 4: final_measure_t<4>(); break;
+      case 8: final_measure_t<8>(); break;
+      default: final_measure_t<0>(); break;
+    }
+    return final_flip_.data();
+}
+
 void
 BatchLeakageDriver::final_data_measure_batch(
     std::vector<std::vector<uint8_t>>* out)
 {
-    switch (words_) {
-      case 1: final_measure_t<1>(out); break;
-      case 2: final_measure_t<2>(out); break;
-      case 4: final_measure_t<4>(out); break;
-      case 8: final_measure_t<8>(out); break;
-      default: final_measure_t<0>(out); break;
+    const LaneMask* flips = final_data_measure_words();
+    const int n_data = code_->n_data();
+    out->resize(static_cast<size_t>(n_lanes_));
+    for (int l = 0; l < n_lanes_; ++l) {
+        std::vector<uint8_t>& v = (*out)[static_cast<size_t>(l)];
+        v.resize(static_cast<size_t>(n_data));
+        for (int q = 0; q < n_data; ++q)
+            v[static_cast<size_t>(q)] = static_cast<uint8_t>(lane_bit(
+                &flips[static_cast<size_t>(q) *
+                       static_cast<size_t>(words_)],
+                l));
     }
 }
 

@@ -13,20 +13,6 @@
 
 namespace gld {
 
-/** Lanes per batch word: 64 Monte-Carlo shots packed one per bit. */
-constexpr int kBatchLanes = 64;
-
-/** Max lanes of one batch (kMaxBatchWords words of kBatchLanes shots). */
-constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
-
-/**
- * One bit per lane; bit l of word w set means "lane w*64+l participates".
- * A batch driver built with `batch_words` W addresses lanes through
- * W-word spans (`const LaneMask*` of W words); W == 1 is the classic
- * one-word batch.
- */
-using LaneMask = uint64_t;
-
 /** Invokes f(lane) for every set bit of the single word m, ascending. */
 template <typename F>
 inline void
@@ -591,11 +577,13 @@ class BatchLeakageDriver final {
      */
     const LaneMask* leaked_words() const { return leaked_.data(); }
     /**
-     * Detector words of the last run_round_batch, one span per check:
-     * entry c*n_words()+w is word w of check c's span.  Bits of lanes
-     * outside the batch are unspecified.
+     * Round words of the last round, one span per check: entry
+     * c*n_words()+w is word w of check c's span.  Bits of lanes outside
+     * the batch are unspecified.
      */
     const LaneMask* detector_words() const { return det_scratch_.data(); }
+    const LaneMask* meas_flip_words() const { return meas_flip_.data(); }
+    const LaneMask* mlr_flag_words() const { return mlr_flag_.data(); }
 
     // --- Per-lane ground truth (the runner's accounting view). ---
     bool data_leaked(int lane, int q) const
@@ -610,8 +598,9 @@ class BatchLeakageDriver final {
     int n_check_leaked(int lane) const;
 
     /**
-     * A scalar LeakageOracle view of one lane — what oracle policies and
-     * the runner's speculation accounting read for that lane's shot.
+     * A scalar LeakageOracle view of one lane's shot (the scalar
+     * Simulator façade serves lane 0's; the batch runner reads the leak
+     * words instead).
      */
     const LeakageOracle& lane_oracle(int lane) const
     {
@@ -619,17 +608,40 @@ class BatchLeakageDriver final {
     }
 
     /**
-     * Applies each lane's scheduled LRC gadgets, then executes one noisy
-     * syndrome-extraction round for every active lane in lockstep.
-     * `lane_lrcs` must have at least n_lanes() entries; `out` is resized
-     * to n_lanes() per-lane RoundResults (storage reused across rounds).
+     * Applies the LRC gadgets of `lrcs` (spans of n_words() words; bits
+     * of inactive lanes are ignored), then executes one noisy
+     * syndrome-extraction round for every active lane in lockstep.  The
+     * gadgets run lane by lane in ascending lane order, each lane's in
+     * the LrcMasks order (ascending data index, then ascending check
+     * index).  The round's outcome is left in the round words
+     * (detector_words() and friends); nothing is unpacked per lane.
+     */
+    void run_round_masks(const LrcMasks& lrcs);
+
+    /**
+     * Unpacks the last round's words into n_lanes() per-lane
+     * RoundResults (storage reused across rounds).
+     */
+    void unpack_round(std::vector<RoundResult>* out) const;
+
+    /**
+     * The per-lane-schedule form of run_round_masks: packs lane l's
+     * schedule (l < n_lanes(); lists strictly ascending, see
+     * LrcMasks::add_lane), runs the round and unpacks it into `out`.
      */
     void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                          std::vector<RoundResult>* out);
 
     /**
      * Transversal Z-basis readout of all data qubits for every active
-     * lane; out is resized to n_lanes() per-lane flip vectors.
+     * lane.  Returns the outcome-flip words, one span per data qubit
+     * (entry q*n_words()+w), valid until the next call.
+     */
+    const LaneMask* final_data_measure_words();
+
+    /**
+     * final_data_measure_words, unpacked: out is resized to n_lanes()
+     * per-lane flip vectors.
      */
     void final_data_measure_batch(std::vector<std::vector<uint8_t>>* out);
 
@@ -680,6 +692,8 @@ class BatchLeakageDriver final {
 
     void apply_lrc_data(int q, int lane);
     void apply_lrc_check(int c, int lane);
+    /** Applies `lrcs` lane-major (see run_round_masks). */
+    void apply_lrcs(const LrcMasks& lrcs);
 
     // The hot per-op helpers are templated on the batch width: WT > 0 is
     // a compile-time word count (the W loops unroll away — at the
@@ -776,11 +790,8 @@ class BatchLeakageDriver final {
     template <int WT> void cnot_noise_triple(int control, int target);
 
     /** Width-specialized bodies of the two public batch entry points. */
-    template <int WT>
-    void run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
-                     std::vector<RoundResult>* out);
-    template <int WT>
-    void final_measure_t(std::vector<std::vector<uint8_t>>* out);
+    template <int WT> void run_round_t(const LrcMasks& lrcs);
+    template <int WT> void final_measure_t();
 
     const CssCode* code_;
     const RoundCircuit* rc_;
@@ -806,6 +817,11 @@ class BatchLeakageDriver final {
     std::vector<LaneMask> meas_flip_;  ///< scratch, span per check
     std::vector<LaneMask> mlr_flag_;   ///< scratch, span per check
     std::vector<LaneMask> det_scratch_;  ///< scratch, span per check
+    std::vector<LaneMask> final_flip_;   ///< final readout, span per data
+    /// Per-lane LRC gadget lists of the current round (data qubit q as
+    /// q, check c as n_data + c), ascending: the lane-major apply order.
+    std::vector<std::vector<int>> lane_lrc_;
+    LrcMasks pack_scratch_;  ///< run_round_batch's packed schedules
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
     BatchStatePrimitives* state_;
@@ -828,9 +844,6 @@ class BatchSimulator : public Simulator {
     /** Forces lane `lane`'s data qubit q into the leaked state. */
     virtual void inject_data_leak_lane(int lane, int q) = 0;
 
-    /** Ground-truth oracle of one lane's shot. */
-    virtual const LeakageOracle& lane_oracle(int lane) const = 0;
-
     /** Words per lane span (K); leaked_words() strides by this. */
     virtual int batch_n_words() const = 0;
 
@@ -844,19 +857,37 @@ class BatchSimulator : public Simulator {
     virtual const LaneMask* leaked_words() const = 0;
 
     /**
-     * Detector words of the last run_round_batch, one span per check
-     * (entry c*batch_n_words()+w; bit l of word w = lane w*64+l) — the
-     * same bits run_round_batch unpacks into each lane's
-     * RoundResult::detector, read without the per-lane scan.  Bits of
-     * lanes outside the batch are unspecified; mask them.
+     * Round words of the last round, one span per check (entry
+     * c*batch_n_words()+w; bit l of word w = lane w*64+l) — the bits
+     * run_round_batch unpacks into each lane's RoundResult, read
+     * without the per-lane transpose.  Bits of lanes outside the batch
+     * are unspecified; mask them.
      */
     virtual const LaneMask* detector_words() const = 0;
+    virtual const LaneMask* meas_flip_words() const = 0;
+    virtual const LaneMask* mlr_flag_words() const = 0;
 
-    /** One lockstep round over every active lane. */
+    /**
+     * One lockstep round over every active lane, LRCs given as lane
+     * masks (BatchLeakageDriver::run_round_masks); the outcome is read
+     * from the round words.
+     */
+    virtual void run_round_masks(const LrcMasks& lrcs) = 0;
+
+    /**
+     * One lockstep round over every active lane, LRCs given as per-lane
+     * ascending schedules; the outcome is unpacked per lane.
+     */
     virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                  std::vector<RoundResult>* out) = 0;
 
-    /** Lockstep final transversal readout of every active lane. */
+    /**
+     * Lockstep final transversal readout of every active lane: outcome
+     * flip words, one span per data qubit, valid until the next call.
+     */
+    virtual const LaneMask* final_data_measure_words() = 0;
+
+    /** final_data_measure_words, unpacked per lane. */
     virtual void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) = 0;
 };
@@ -883,10 +914,6 @@ class BatchLeakageDriverSim : public BatchSimulator,
     {
         driver_.set_leak_lane(q, lane);
     }
-    const LeakageOracle& lane_oracle(int lane) const final
-    {
-        return driver_.lane_oracle(lane);
-    }
     const LaneMask* leaked_words() const final
     {
         return driver_.leaked_words();
@@ -895,10 +922,26 @@ class BatchLeakageDriverSim : public BatchSimulator,
     {
         return driver_.detector_words();
     }
+    const LaneMask* meas_flip_words() const final
+    {
+        return driver_.meas_flip_words();
+    }
+    const LaneMask* mlr_flag_words() const final
+    {
+        return driver_.mlr_flag_words();
+    }
+    void run_round_masks(const LrcMasks& lrcs) final
+    {
+        driver_.run_round_masks(lrcs);
+    }
     void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                          std::vector<RoundResult>* out) final
     {
         driver_.run_round_batch(lane_lrcs, out);
+    }
+    const LaneMask* final_data_measure_words() final
+    {
+        return driver_.final_data_measure_words();
     }
     void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) final

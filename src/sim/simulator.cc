@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "sim/batch_frame_sim.h"
 #include "sim/batch_tableau_sim.h"
@@ -77,6 +78,68 @@ throw_unknown_sampling(const std::string& what)
 }
 
 }  // namespace
+
+void
+LrcMasks::reset(int n_data, int n_checks, int k)
+{
+    n_words = k;
+    data.assign(static_cast<size_t>(n_data) * static_cast<size_t>(k), 0);
+    checks.assign(static_cast<size_t>(n_checks) * static_cast<size_t>(k),
+                  0);
+}
+
+namespace {
+
+void
+add_lane_list(const std::vector<int>& list, int lane, int k,
+              std::vector<LaneMask>* words, const char* what)
+{
+    const int n = static_cast<int>(words->size()) / k;
+    int prev = -1;
+    for (int v : list) {
+        if (v <= prev || v >= n)
+            throw std::invalid_argument(
+                std::string("LrcMasks: ") + what + " list of lane " +
+                std::to_string(lane) +
+                " must be strictly ascending indices in [0, " +
+                std::to_string(n) + "), got " + std::to_string(v) +
+                " after " + std::to_string(prev));
+        (*words)[static_cast<size_t>(v) * static_cast<size_t>(k) +
+                 static_cast<size_t>(lane >> 6)] |= 1ull << (lane & 63);
+        prev = v;
+    }
+}
+
+void
+lane_list(const std::vector<LaneMask>& words, int lane, int k,
+          std::vector<int>* out)
+{
+    out->clear();
+    const size_t K = static_cast<size_t>(k);
+    const int b = lane & 63;
+    const size_t n = words.size() / K;
+    const LaneMask* span = words.data() + (lane >> 6);
+    for (size_t v = 0; v < n; ++v, span += K) {
+        if ((*span >> b) & 1u)
+            out->push_back(static_cast<int>(v));
+    }
+}
+
+}  // namespace
+
+void
+LrcMasks::add_lane(int lane, const LrcSchedule& sched)
+{
+    add_lane_list(sched.data_qubits, lane, n_words, &data, "data");
+    add_lane_list(sched.checks, lane, n_words, &checks, "check");
+}
+
+void
+LrcMasks::lane_schedule(int lane, LrcSchedule* out) const
+{
+    lane_list(data, lane, n_words, &out->data_qubits);
+    lane_list(checks, lane, n_words, &out->checks);
+}
 
 void
 LeakageOracle::add_leak_occupancy(uint64_t* data_row, int n_data,

@@ -20,6 +20,19 @@ namespace gld {
  */
 constexpr int kMaxBatchWords = 8;
 
+/** Lanes per batch word: 64 Monte-Carlo shots packed one per bit. */
+constexpr int kBatchLanes = 64;
+
+/** Max lanes of one batch (kMaxBatchWords words of kBatchLanes shots). */
+constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
+
+/**
+ * One bit per lane; bit l of word w set means "lane w*64+l participates".
+ * A batch of K words addresses lanes through K-word spans
+ * (`const LaneMask*` of K words); K == 1 is the classic one-word batch.
+ */
+using LaneMask = uint64_t;
+
 /** Outcome of one QEC round, as seen by the controller. */
 struct RoundResult {
     /** Measurement flip (vs the noiseless reference) per check. */
@@ -40,6 +53,54 @@ struct LrcSchedule {
         checks.clear();
     }
     bool empty() const { return data_qubits.empty() && checks.empty(); }
+};
+
+/**
+ * LRCs requested for every lane of a K-word batch, as lane masks: bit l of
+ * word w in qubit q's span asks for an LRC on q in lane w*64+l.  Entry
+ * data[q*K+w] is word w of data qubit q, checks[c*K+w] word w of check
+ * c's ancilla.
+ *
+ * Within a lane, the gadgets apply in ascending data-qubit index, then in
+ * ascending check index — the order an ascending LrcSchedule lists them,
+ * and therefore the order of that lane's LRC draws.
+ */
+struct LrcMasks {
+    int n_words = 1;
+    std::vector<LaneMask> data;
+    std::vector<LaneMask> checks;
+
+    /** Sizes the spans for n_data / n_checks qubits at K words, zeroed. */
+    void reset(int n_data, int n_checks, int k);
+
+    /**
+     * ORs lane `lane`'s schedule into the masks.  Each list must be
+     * strictly ascending and in range: an unordered or repeated entry
+     * would silently reorder the lane's LRC draws, so it is refused with
+     * std::invalid_argument.
+     */
+    void add_lane(int lane, const LrcSchedule& sched);
+
+    /** Writes lane `lane`'s LRCs to `out` as an ascending schedule. */
+    void lane_schedule(int lane, LrcSchedule* out) const;
+};
+
+/**
+ * One round's observables for every lane of a K-word batch: the words a
+ * word-parallel policy decides from.  Spans are K words per check
+ * (detector, mlr_flag: entry c*K+w) or per qubit (leaked: entry q*K+w,
+ * data qubits first, then ancillas).  Bits of lanes outside `active`
+ * are unspecified.
+ */
+struct RoundWords {
+    int n_words = 1;
+    const LaneMask* active = nullptr;    ///< lanes in the batch
+    const LaneMask* detector = nullptr;  ///< detector bits per check
+    const LaneMask* mlr_flag = nullptr;  ///< MLR leak flags per check
+    /** Measurement flips per check (no in-tree kernel reads them). */
+    const LaneMask* meas_flip = nullptr;
+    /** Ground-truth leak flags (oracle policies only); may be null. */
+    const LaneMask* leaked = nullptr;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <iterator>
 #include <map>
@@ -11,6 +12,7 @@
 #include "core/policy_eraser.h"
 #include "core/policy_gladiator.h"
 #include "core/policy_static.h"
+#include "metrics_test_util.h"
 #include "runtime/experiment.h"
 #include "sim/frame_sim.h"
 #include "util/rng.h"
@@ -469,6 +471,255 @@ TEST(PolicyGolden, ScheduleDigestIsPinned)
                                  digest_policies().size());
     if (HasFailure())
         std::printf("actual digests:\n%s", actual.c_str());
+}
+
+// The word kernels on the digest's inputs, K*64 lanes wide: the 64 shots
+// are spread over every word of the batch (shot s on lane (s % K) * 64 +
+// s / K), the remaining lanes are inactive and carry random detector and
+// MLR bits, and each active lane's mask must equal the per-shot schedule
+// the pinned digest covers.
+TEST(PolicyGolden, WordKernelMatchesPerShotSchedules)
+{
+    for (const char* code : kDigestCodes) {
+        const auto inst = campaign::make_code(code);
+        const CssCode& cc = inst->code;
+        const size_t n_checks = static_cast<size_t>(cc.n_checks());
+        const DigestInputs in(cc.n_checks(), 0xD16E57ull);
+        for (const std::string& policy : digest_policies()) {
+            const PolicyFactory factory =
+                campaign::make_policy(policy, digest_noise());
+            // Per-shot schedules through the scalar interface.
+            std::vector<LrcSchedule> want;
+            {
+                const auto p = factory(inst->ctx, 7);
+                LrcSchedule out;
+                for (int s = 0; s < kDigestShots; ++s) {
+                    p->begin_shot();
+                    for (int r = 0; r < kDigestRounds; ++r) {
+                        p->observe(r, in.at(s, r), &out);
+                        want.push_back(out);
+                    }
+                }
+            }
+            for (int k : {1, 2, 8}) {
+                SCOPED_TRACE(std::string(code) + "/" + policy + " K=" +
+                             std::to_string(k));
+                const size_t K = static_cast<size_t>(k);
+                const auto lane_of = [k](int s) {
+                    return (s % k) * kBatchLanes + s / k;
+                };
+                std::vector<LaneMask> active(K, 0);
+                for (int s = 0; s < kDigestShots; ++s)
+                    active[static_cast<size_t>(lane_of(s) >> 6)] |=
+                        1ull << (lane_of(s) & 63);
+                const auto p = factory(inst->ctx, 7);
+                auto* wp = dynamic_cast<WordPolicy*>(p.get());
+                ASSERT_NE(wp, nullptr);
+                wp->begin_batch(active.data(), k);
+                Rng noise(0x1A7Eull);
+                std::vector<LaneMask> det(n_checks * K), mlr(n_checks * K);
+                LrcMasks masks;
+                masks.reset(cc.n_data(), cc.n_checks(), k);
+                LrcSchedule got;
+                for (int r = 0; r < kDigestRounds; ++r) {
+                    for (size_t i = 0; i < det.size(); ++i) {
+                        det[i] = noise.next_u64() & ~active[i % K];
+                        mlr[i] = noise.next_u64() & ~active[i % K];
+                    }
+                    for (int s = 0; s < kDigestShots; ++s) {
+                        const RoundResult& rr = in.at(s, r);
+                        const int l = lane_of(s);
+                        for (size_t c = 0; c < n_checks; ++c) {
+                            const size_t i =
+                                c * K + static_cast<size_t>(l >> 6);
+                            det[i] |= static_cast<LaneMask>(rr.detector[c])
+                                      << (l & 63);
+                            mlr[i] |= static_cast<LaneMask>(rr.mlr_flag[c])
+                                      << (l & 63);
+                        }
+                    }
+                    RoundWords rw;
+                    rw.n_words = k;
+                    rw.active = active.data();
+                    rw.detector = det.data();
+                    rw.mlr_flag = mlr.data();
+                    wp->observe_words(r, rw, &masks);
+                    for (size_t i = 0; i < masks.data.size(); ++i)
+                        ASSERT_EQ(masks.data[i] & ~active[i % K], 0u);
+                    for (size_t i = 0; i < masks.checks.size(); ++i)
+                        ASSERT_EQ(masks.checks[i] & ~active[i % K], 0u);
+                    for (int s = 0; s < kDigestShots; ++s) {
+                        masks.lane_schedule(lane_of(s), &got);
+                        const LrcSchedule& w = want[static_cast<size_t>(
+                            s * kDigestRounds + r)];
+                        ASSERT_EQ(got.data_qubits, w.data_qubits)
+                            << "shot " << s << " round " << r;
+                        ASSERT_EQ(got.checks, w.checks)
+                            << "shot " << s << " round " << r;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// --- The per-lane fallback adapter. ---
+
+/** An opaque forwarding decorator (no word kernel), counting observes. */
+class Forwarding : public Policy {
+  public:
+    Forwarding(std::unique_ptr<Policy> inner,
+               std::shared_ptr<std::atomic<long>> calls)
+        : inner_(std::move(inner)), calls_(std::move(calls))
+    {
+    }
+    std::string name() const override { return inner_->name(); }
+    void begin_shot() override { inner_->begin_shot(); }
+    void set_leak_oracle(const LeakageOracle* oracle) override
+    {
+        inner_->set_leak_oracle(oracle);
+    }
+    void observe(int round, const RoundResult& rr, LrcSchedule* out) override
+    {
+        ++*calls_;
+        inner_->observe(round, rr, out);
+    }
+
+  private:
+    std::unique_ptr<Policy> inner_;
+    std::shared_ptr<std::atomic<long>> calls_;
+};
+
+TEST(PerLanePolicy, DecoratedPolicyMatchesTheWordKernelOnBatchFrame)
+{
+    const auto inst = campaign::make_code("surface:5");
+    for (const char* policy : {"ideal", "eraser_m", "gladiator_d_m"}) {
+        for (int k : {1, 2}) {
+            SCOPED_TRACE(std::string(policy) + " K=" + std::to_string(k));
+            ExperimentConfig cfg;
+            cfg.np = NoiseParams::standard(2e-3, 0.5);
+            cfg.rounds = 6;
+            cfg.batch_words = k;
+            cfg.rng_streams = 3;
+            cfg.shots = 3 * (ExperimentRunner::shot_block(cfg) + 21);
+            cfg.threads = 2;
+            cfg.leakage_sampling = true;
+            cfg.compute_ler = true;
+            cfg.backend = SimBackend::kBatchFrame;
+            const PolicyFactory native =
+                campaign::make_policy(policy, cfg.np);
+            auto calls = std::make_shared<std::atomic<long>>(0);
+            const PolicyFactory decorated =
+                [native, calls](const CodeContext& ctx, uint64_t seed)
+                -> std::unique_ptr<Policy> {
+                return std::make_unique<Forwarding>(native(ctx, seed),
+                                                    calls);
+            };
+            const ExperimentRunner runner(inst->ctx, cfg);
+            const Metrics want = runner.run(native);
+            const Metrics got = runner.run(decorated);
+            test::expect_metrics_identical(want, got);
+            EXPECT_EQ(calls->load(),
+                      static_cast<long>(cfg.shots) * cfg.rounds);
+            EXPECT_GT(got.lrc_data_total + got.lrc_check_total, 0.0);
+        }
+    }
+}
+
+TEST(PerLanePolicy, UnorderedSchedulesAreRefused)
+{
+    LrcMasks masks;
+    masks.reset(/*n_data=*/5, /*n_checks=*/3, /*k=*/2);
+    LrcSchedule ok;
+    ok.data_qubits = {0, 2, 4};
+    ok.checks = {1};
+    masks.add_lane(70, ok);
+    LrcSchedule back;
+    masks.lane_schedule(70, &back);
+    EXPECT_EQ(back.data_qubits, ok.data_qubits);
+    EXPECT_EQ(back.checks, ok.checks);
+
+    LrcSchedule descending;
+    descending.data_qubits = {3, 1};
+    EXPECT_THROW(masks.add_lane(0, descending), std::invalid_argument);
+    LrcSchedule repeated;
+    repeated.checks = {2, 2};
+    EXPECT_THROW(masks.add_lane(0, repeated), std::invalid_argument);
+    LrcSchedule out_of_range;
+    out_of_range.data_qubits = {5};
+    EXPECT_THROW(masks.add_lane(0, out_of_range), std::invalid_argument);
+
+    // The same refusal through the adapter, from a policy's schedule.
+    class Descending : public Policy {
+      public:
+        std::string name() const override { return "descending"; }
+        void observe(int, const RoundResult&, LrcSchedule* out) override
+        {
+            out->data_qubits = {1, 0};
+            out->checks.clear();
+        }
+    };
+    Harness h(SurfaceCode::make(3), PatternScope::kBothTypes);
+    PerLanePolicy adapter(h.ctx,
+                          [] { return std::make_unique<Descending>(); });
+    const LaneMask active = 1;
+    adapter.begin_batch(&active, 1);
+    const std::vector<LaneMask> zeros(
+        static_cast<size_t>(h.code.n_checks()), 0);
+    RoundWords rw;
+    rw.active = &active;
+    rw.detector = zeros.data();
+    rw.mlr_flag = zeros.data();
+    LrcMasks out;
+    out.reset(h.code.n_data(), h.code.n_checks(), 1);
+    EXPECT_THROW(adapter.observe_words(0, rw, &out), std::invalid_argument);
+}
+
+// --- Pattern-width guard. ---
+
+/**
+ * A synthetic code whose data qubit 0 sits in `degree` Z checks (check i
+ * is {0, i+1}), so its observed pattern is `degree` bits wide.
+ */
+CssCode
+hub_code(int degree)
+{
+    std::vector<Check> checks;
+    for (int i = 0; i < degree; ++i)
+        checks.push_back({CheckType::kZ, {0, i + 1}});
+    return CssCode("hub", degree + 1, std::move(checks));
+}
+
+TEST(PatternWidthGuard, TablesBeyondTheCapAreRefused)
+{
+    const NoiseParams np = NoiseParams::standard();
+    for (int degree : {kMaxPatternBits + 1, 40}) {
+        SCOPED_TRACE(degree);
+        Harness h(hub_code(degree), PatternScope::kBothTypes);
+        ASSERT_EQ(h.ctx.degree_of(0), degree);
+        EXPECT_THROW(PatternTableSet::build(h.ctx, np, {}, false),
+                     PatternWidthError);
+        EXPECT_THROW(PatternTableSet::build(h.ctx, np, {}, true),
+                     PatternWidthError);
+        EXPECT_THROW(EraserPolicy(h.ctx, false), PatternWidthError);
+        // Policies without tables still run on such a code.
+        NoLrcPolicy none(h.ctx);
+        LrcSchedule out;
+        none.begin_shot();
+        none.observe(0, quiet_round(h.code), &out);
+        EXPECT_TRUE(out.empty());
+    }
+    EXPECT_THROW(EraserPolicy::flagged_count(kMaxPatternBits + 1),
+                 PatternWidthError);
+    EXPECT_THROW(check_pattern_width(2 * kMaxPatternBits + 1, true),
+                 PatternWidthError);
+    EXPECT_NO_THROW(check_pattern_width(2 * kMaxPatternBits, true));
+
+    // At the cap the single-round table is built.
+    Harness h(hub_code(kMaxPatternBits), PatternScope::kBothTypes);
+    const PatternTableSet t = PatternTableSet::build(h.ctx, np, {}, false);
+    EXPECT_EQ(t.bits(h.ctx.class_of(0)), kMaxPatternBits);
+    EXPECT_NO_THROW(EraserPolicy(h.ctx, true));
 }
 
 }  // namespace
