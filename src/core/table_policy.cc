@@ -47,14 +47,16 @@ TablePolicy::single_round(const RoundWords& in, LaneMask* data) const
     const size_t K = KT > 0 ? static_cast<size_t>(KT)
                             : static_cast<size_t>(in.n_words);
     const int* off = ctx().obs_offsets().data();
-    for (int q = 0; q < ctx().code().n_data(); ++q) {
+    const int* checks = ctx().obs_checks().data();
+    const int n_data = ctx().code().n_data();
+    for (int q = 0; q < n_data; ++q) {
         LaneMask* dst = &data[static_cast<size_t>(q) * K];
         const uint8_t* tab = table_[static_cast<size_t>(q)];
         if (tab == nullptr) {
             std::fill(dst, dst + K, 0);
             continue;
         }
-        const int* chk = ctx().obs_checks().data() + off[q];
+        const int* chk = checks + off[q];
         const int k = off[q + 1] - off[q];
         for (size_t w = 0; w < K; ++w) {
             const auto det = [&](int i) {
@@ -91,14 +93,16 @@ TablePolicy::two_round(const RoundWords& in, LaneMask* data)
     const size_t K = KT > 0 ? static_cast<size_t>(KT)
                             : static_cast<size_t>(in.n_words);
     const int* off = ctx().obs_offsets().data();
-    for (int q = 0; q < ctx().code().n_data(); ++q) {
+    const int* checks = ctx().obs_checks().data();
+    const int n_data = ctx().code().n_data();
+    for (int q = 0; q < n_data; ++q) {
         LaneMask* dst = &data[static_cast<size_t>(q) * K];
         const uint8_t* tab = table_[static_cast<size_t>(q)];
         if (tab == nullptr) {
             std::fill(dst, dst + K, 0);
             continue;
         }
-        const int* chk = ctx().obs_checks().data() + off[q];
+        const int* chk = checks + off[q];
         const int k = off[q + 1] - off[q];
         for (size_t w = 0; w < K; ++w) {
             const auto det = [&](int i) {
