@@ -88,7 +88,10 @@ struct ExperimentConfig {
  * Builds a policy.  The runner calls it lazily — once per (executor
  * slot, config) when worker-state reuse is on, once per (RNG stream,
  * shot block) work unit with reuse off — and reuses the instance across
- * blocks, with begin_shot() as the per-shot reset point.  A policy must
+ * blocks, with begin_shot() (begin_batch() for a WordPolicy) as the
+ * per-shot reset point.  On a batch backend a policy that is not a
+ * WordPolicy runs behind PerLanePolicy, which calls the factory once
+ * more per lane it needs.  A policy must
  * therefore not carry state across shots except through observe/
  * begin_shot, and must not derive result-affecting state from `seed`
  * (every in-tree policy ignores it); that is what keeps the build count
