@@ -8,14 +8,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "campaign/registry.h"
 #include "codes/color_code.h"
 #include "codes/surface_code.h"
+#include "io/serialize.h"
 #include "metrics_test_util.h"
 #include "runtime/experiment.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace gld {
 namespace {
@@ -757,6 +760,99 @@ TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)
         }
         EXPECT_EQ(frame->final_data_measure(),
                   batch->final_data_measure());
+    }
+}
+
+
+// --- Scalar-backend golden digest. ---
+//
+// frame is pinned to batch_frame by the bit-equality gates above, but
+// tableau shares its RNG contract with no other engine, so nothing else
+// pins what the runner makes of it.  Every registry policy runs on
+// frame and tableau over two codes in three modes (leakage sampling,
+// LER, DLP series), with three streams, three threads and a partial
+// trailing block in every stream.  Each run's metrics_to_json, and its
+// merged telemetry record with the wall-clock timers zeroed (leak
+// histogram, heatmap, shot and round counts), feed one FNV-1a hash per
+// (backend, code).  Pinned while frame and tableau still ran the
+// runner's scalar shot loop; the one-lane batch path must match it.
+
+uint64_t
+fnv1a(uint64_t h, const std::string& bytes)
+{
+    for (const char ch : bytes) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+struct ScalarDigest {
+    uint64_t metrics = 0xcbf29ce484222325ull;
+    uint64_t telemetry = 0xcbf29ce484222325ull;
+};
+
+ScalarDigest
+scalar_digest(SimBackend backend, const char* code)
+{
+    const auto inst = campaign::make_code(code);
+    ScalarDigest d;
+    for (const std::string& policy : campaign::known_policies()) {
+        for (int mode = 0; mode < 3; ++mode) {
+            ExperimentConfig cfg;
+            cfg.np = NoiseParams::standard(2e-3, 0.5);
+            cfg.rounds = 3;
+            cfg.rng_streams = 3;
+            cfg.threads = 3;
+            cfg.shots = 3 * (ExperimentRunner::shot_block(cfg) + 5);
+            cfg.seed = 0x5CA1A2D16E57ull;
+            cfg.backend = backend;
+            cfg.leakage_sampling = mode == 0;
+            cfg.compute_ler = mode == 1;
+            cfg.record_dlp_series = mode == 2;
+            ExperimentRunner runner(inst->ctx, cfg);
+            telemetry::Collector::Options opt;
+            opt.heatmap = true;
+            telemetry::Collector col(std::move(opt));
+            runner.set_telemetry(&col);
+            const Metrics m =
+                runner.run(campaign::make_policy(policy, cfg.np));
+            telemetry::Record rec = col.merged();
+            std::fill(std::begin(rec.stage_ns), std::end(rec.stage_ns), 0);
+            d.metrics = fnv1a(d.metrics, io::metrics_to_json(m).dump());
+            d.telemetry = fnv1a(d.telemetry, rec.to_json().dump());
+        }
+    }
+    return d;
+}
+
+TEST(ScalarBackendGolden, MetricsAndTelemetryDigestIsPinned)
+{
+    struct Pin {
+        SimBackend backend;
+        const char* code;
+        uint64_t metrics;
+        uint64_t telemetry;
+    };
+    const Pin pins[] = {
+        {SimBackend::kFrame, "surface:3", 0x91a8b62b1b27d2c3ull,
+         0xe3c28d5ef19d7c48ull},
+        {SimBackend::kFrame, "color:5", 0x0dcf15d12bb0a98aull,
+         0x7a590dade1caa225ull},
+        {SimBackend::kTableau, "surface:3", 0x1761375831c69dd2ull,
+         0xbf9d1b2bc2e92439ull},
+        {SimBackend::kTableau, "color:5", 0x8c2ebd6f504d889aull,
+         0xd348f0d941fb13a0ull},
+    };
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(std::string(backend_name(pin.backend)) + "/" +
+                     pin.code);
+        const ScalarDigest d = scalar_digest(pin.backend, pin.code);
+        EXPECT_EQ(d.metrics, pin.metrics);
+        // A GLD_TELEMETRY=OFF build records nothing to digest.
+        if (telemetry::kCompiledIn) {
+            EXPECT_EQ(d.telemetry, pin.telemetry);
+        }
     }
 }
 
