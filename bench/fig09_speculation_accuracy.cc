@@ -73,9 +73,11 @@ main()
     // Every shard of the plan runs here unless its result file is
     // already present and valid — i.e. shards computed elsewhere with
     // `gld_campaign run --shard i/N` are resumed, not recomputed.
+    campaign::RunShardOptions opt;
+    opt.threads = BenchConfig::threads();
+    opt.telemetry = false;
     for (int shard = 0; shard < n_shards; ++shard)
-        campaign::run_shard(spec, shard, n_shards, out_dir,
-                            BenchConfig::threads());
+        campaign::run_shard(spec, shard, n_shards, out_dir, opt);
     const std::vector<Metrics> results =
         campaign::merge_campaign(spec, n_shards, out_dir);
 

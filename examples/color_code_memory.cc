@@ -73,9 +73,12 @@ main()
     const char* fresh = std::getenv("GLD_CAMPAIGN_FRESH");
     if (fresh != nullptr && fresh[0] == '1')
         campaign::remove_results(spec, n_shards, out_dir);
+    campaign::RunShardOptions opt;
+    opt.threads = BenchConfig::threads();
+    opt.telemetry = false;
     for (int shard = 0; shard < n_shards; ++shard) {
-        const campaign::RunShardStats stats = campaign::run_shard(
-            spec, shard, n_shards, out_dir, BenchConfig::threads());
+        const campaign::RunShardStats stats =
+            campaign::run_shard(spec, shard, n_shards, out_dir, opt);
         std::printf("%s shard %d/%d: %d job(s) run, %d resumed\n",
                     shard == 0 ? "\n" : "", shard, n_shards, stats.jobs_run,
                     stats.jobs_resumed);

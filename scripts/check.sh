@@ -16,6 +16,6 @@ if [[ "${1:-}" == "--all" ]]; then
     CTEST_ARGS=()
 fi
 
-cmake -B build -S .
+cmake -B build -S . -DGLD_WERROR=ON
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}" "${CTEST_ARGS[@]}"

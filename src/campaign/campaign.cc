@@ -155,6 +155,10 @@ void
 CampaignSpec::validate() const
 {
     const std::vector<JobSpec> jobs = expand();  // checks non-empty dims
+    if (rounds < 1)
+        throw std::invalid_argument("campaign: rounds " +
+                                    std::to_string(rounds) +
+                                    " must be at least 1");
     for (const std::string& code : codes)
         make_code(code);  // throws on bad family/distance
     for (const std::string& policy : policies)
@@ -817,19 +821,6 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     stats.jobs_run = jobs_run.load();
     stats.jobs_resumed = jobs_resumed.load();
     return stats;
-}
-
-RunShardStats
-run_shard(const CampaignSpec& spec, int shard, int n_shards,
-          const std::string& out_dir, int threads, bool verbose,
-          int jobs_parallel)
-{
-    RunShardOptions opt;
-    opt.threads = threads;
-    opt.verbose = verbose;
-    opt.jobs_parallel = jobs_parallel;
-    opt.telemetry = false;  // the exact pre-telemetry behavior
-    return run_shard(spec, shard, n_shards, out_dir, opt);
 }
 
 void

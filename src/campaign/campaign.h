@@ -93,7 +93,10 @@ struct CampaignSpec {
     io::Json to_json() const;
     static CampaignSpec from_json(const io::Json& j);
 
-    /** Builds every distinct code and policy once; throws on bad names. */
+    /**
+     * Builds every distinct code and policy once; throws on bad names,
+     * and std::invalid_argument when rounds < 1.
+     */
     void validate() const;
 };
 
@@ -320,11 +323,6 @@ struct RunShardOptions {
 RunShardStats run_shard(const CampaignSpec& spec, int shard, int n_shards,
                         const std::string& out_dir,
                         const RunShardOptions& opt);
-
-/** Back-compat wrapper: RunShardOptions with telemetry off. */
-RunShardStats run_shard(const CampaignSpec& spec, int shard, int n_shards,
-                        const std::string& out_dir, int threads = 0,
-                        bool verbose = false, int jobs_parallel = 1);
 
 /**
  * Deletes every shard and merged result file of the campaign in

@@ -108,12 +108,16 @@ verify_run_shard(const CampaignSpec& grid, const VerifyOptions& opt,
                  int shard, int n_shards, const std::string& out_dir)
 {
     const std::vector<SimBackend> cands = verify_candidates(opt);
+    RunShardOptions ropt;
+    ropt.threads = opt.threads;
+    ropt.verbose = opt.verbose;
+    ropt.jobs_parallel = opt.jobs_parallel;
+    ropt.telemetry = false;
     run_shard(verify_arm_spec(grid, opt.reference, true, opt), shard,
-              n_shards, out_dir, opt.threads, opt.verbose,
-              opt.jobs_parallel);
+              n_shards, out_dir, ropt);
     for (SimBackend cand : cands) {
         run_shard(verify_arm_spec(grid, cand, false, opt), shard, n_shards,
-                  out_dir, opt.threads, opt.verbose, opt.jobs_parallel);
+                  out_dir, ropt);
     }
 }
 

@@ -46,8 +46,8 @@ class Policy {
     virtual void set_leak_oracle(const LeakageOracle* /*oracle*/) {}
 
     /**
-     * Convenience overload for the scalar path: forwards the simulator's
-     * ground-truth oracle (any backend behind the Simulator interface).
+     * Convenience overload for per-shot callers driving a Simulator
+     * directly: forwards its ground-truth oracle (any backend).
      */
     void set_oracle(const Simulator* sim)
     {

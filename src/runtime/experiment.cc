@@ -20,8 +20,8 @@ namespace gld {
  * One executor slot's reusable block state.  Everything a block used to
  * construct or allocate per (stream, block) lives here instead, owned by
  * the slot for the whole run_partials loop: the simulator is
- * reset_for_block()-ed per block, the policy is rebuilt never (begin_shot
- * / begin_batch is the per-shot reset), the decoder keeps its arena, and
+ * reset_for_block()-ed per block, the policy is rebuilt never
+ * (begin_batch is the per-shot reset), the decoder keeps its arena, and
  * the scratch vectors keep their capacity (assign/resize write the same
  * initial values a fresh vector would hold, so reuse is bit-identical to
  * fresh — the determinism gate's reuse ≡ fresh arm runs with
@@ -29,17 +29,12 @@ namespace gld {
  * alignas: adjacent slots' vector headers must not share a cache line.
  */
 struct alignas(64) ExperimentRunner::BlockResources {
-    std::unique_ptr<Simulator> sim;
-    /// The slot's policy; on the batch path always a WordPolicy (a
-    /// policy without a word kernel arrives wrapped in PerLanePolicy).
+    std::unique_ptr<BatchSimulator> sim;
+    /// The slot's policy, always a WordPolicy (a policy without a word
+    /// kernel arrives wrapped in PerLanePolicy).
     std::unique_ptr<Policy> policy;
     std::unique_ptr<UnionFindDecoder> decoder;
 
-    // Scalar-path scratch.
-    std::vector<int> sched_stamp;
-    std::vector<int> defects1;
-
-    // Batch-path scratch (mirrors the locals the batch block held).
     LrcMasks masks;
     std::vector<LaneMask> final_det;  ///< final detector span per Z check
     std::vector<int> data_leaked;
@@ -61,6 +56,11 @@ ExperimentRunner::ExperimentRunner(const CodeContext& ctx,
             std::to_string(cfg_.batch_words) + " outside [1, " +
             std::to_string(kMaxBatchWords) + "]");
     }
+    if (cfg_.rounds < 1) {
+        throw std::invalid_argument("ExperimentConfig::rounds " +
+                                    std::to_string(cfg_.rounds) +
+                                    " must be at least 1");
+    }
     if (cfg_.compute_ler) {
         DemBuilder dem(ctx.code(), ctx.rc(), cfg_.np, cfg_.rounds);
         graph_ = std::make_shared<DecodingGraph>(dem.build());
@@ -77,9 +77,10 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     const CssCode& code = ctx_->code();
     const int n_data = code.n_data();
     const int n_checks = code.n_checks();
-    const int total = stream_shots(cfg_, stream);
-    const int first = block * shot_block(cfg_);
-    const int shots = std::min(shot_block(cfg_), total - first);
+    const int shots =
+        std::min(shot_block(cfg_),
+                 stream_shots(cfg_, stream) - block * shot_block(cfg_));
+    const int rounds = cfg_.rounds;
 
     // The reuse ≡ fresh control arm: discarding the slot's cached state
     // per block reproduces the pre-reuse fresh-construction path exactly.
@@ -89,13 +90,15 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // Telemetry is a pure side channel: the StageClock and the counters
     // below never draw randomness and never feed a result-bearing sum,
     // and every call is a no-op when `telem` is null (always the case
-    // with telemetry compiled out or no collector attached).
+    // with telemetry compiled out or no collector attached).  The
+    // heatmap and the leak histogram are read off the ground-truth leak
+    // words, a read-only view of the driver's flags.
     telemetry::StageClock clock(telem);
 
     Metrics m;
-    m.rounds_per_shot = cfg_.rounds;
+    m.rounds_per_shot = rounds;
     if (cfg_.record_dlp_series)
-        m.dlp_series.assign(cfg_.rounds, 0.0);
+        m.dlp_series.assign(static_cast<size_t>(rounds), 0.0);
 
     // Every (stream, block) work unit owns three independent derived
     // generators — simulator, leakage-sampling shot draws, policy seed —
@@ -117,181 +120,23 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                                   cfg_.noise_sampling);
     else
         res->sim->reset_for_block(sim_seed);
-    Simulator* sim = res->sim.get();
+    BatchSimulator& sim = *res->sim;
     const uint64_t policy_seed = block_master.split(2).next_u64();
-
-    // A batch-capable backend takes the whole block as one lockstep shot
-    // batch (lane k == the scalar path's k-th shot of this block, same
-    // derived RNG streams — the Metrics come out bit-identical).
-    if (auto* bsim = dynamic_cast<BatchSimulator*>(sim)) {
-        clock.lap(telemetry::kSim);  // batch simulator reset/construction
-        return run_block_batch(*bsim, factory, policy_seed, shot_rng, shots,
-                               graph, telem, res);
-    }
-
-    clock.lap(telemetry::kSim);  // simulator reset/construction
-    // One cached policy per slot (in-tree policies ignore the factory
-    // seed and fully reset in begin_shot — the PolicyFactory contract);
-    // the oracle is rebound every block.
-    if (res->policy == nullptr)
-        res->policy = factory(*ctx_, policy_seed);
-    Policy* policy = res->policy.get();
-    policy->set_oracle(sim);
-    clock.lap(telemetry::kPolicy);  // policy build/rebind
-    // Ground truth for the speculation accounting below: the shared
-    // LeakageDriver's flag state, read through the one oracle interface
-    // instead of per-call virtual hops on the backend.
-    const LeakageOracle& truth = sim->leak_oracle();
-
-    if (graph != nullptr && res->decoder == nullptr)
-        res->decoder = std::make_unique<UnionFindDecoder>(*graph);
-    UnionFindDecoder* decoder = res->decoder.get();
-    const std::vector<int>& z_checks = z_checks_;
-    const int nz = static_cast<int>(z_checks.size());
-    clock.lap(telemetry::kDecode);  // decoder construction
-
-    // Same initial values a fresh block's locals held, capacity reused.
-    res->sched_stamp.assign(static_cast<size_t>(n_data), -1);
-    std::vector<int>& sched_stamp = res->sched_stamp;
-    std::vector<int>& defects = res->defects1;
-
-    for (int shot = 0; shot < shots; ++shot) {
-        clock.lap(telemetry::kAccounting);
-        sim->reset_shot();
-        clock.lap(telemetry::kSim);
-        policy->begin_shot();
-        clock.lap(telemetry::kPolicy);
-        // Stamps are per shot: a stale stamp from an earlier shot at the
-        // same round index would mask that shot's false negatives.
-        std::fill(sched_stamp.begin(), sched_stamp.end(), -1);
-        if (cfg_.leakage_sampling)
-            sim->inject_data_leak(
-                static_cast<int>(shot_rng.uniform_int(n_data)));
-
-        defects.clear();
-        clock.lap(telemetry::kSim);
-
-        LrcSchedule sched;
-        RoundResult rr;
-        for (int r = 0; r < cfg_.rounds; ++r) {
-            // Account the LRCs about to be applied against ground truth.
-            for (int q : sched.data_qubits) {
-                if (truth.data_leaked(q))
-                    m.tp_total += 1;
-                else
-                    m.fp_total += 1;
-            }
-            m.lrc_data_total += static_cast<double>(sched.data_qubits.size());
-            m.lrc_check_total += static_cast<double>(sched.checks.size());
-            clock.lap(telemetry::kAccounting);
-
-            rr = sim->run_round(sched);
-            clock.lap(telemetry::kSim);
-            policy->observe(r, rr, &sched);
-            clock.lap(telemetry::kPolicy);
-
-            // False negatives: leaked data qubits the policy did not
-            // schedule for mitigation.
-            for (int q : sched.data_qubits)
-                sched_stamp[q] = r;
-            for (int q = 0; q < n_data; ++q) {
-                if (truth.data_leaked(q) && sched_stamp[q] != r)
-                    m.fn_total += 1;
-            }
-
-            // Hoisted oracle read: the same value feeds the DLP sum and
-            // the telemetry histogram (pure read — no draw, no state).
-            const int n_leaked = truth.n_data_leaked();
-            const double dlp = static_cast<double>(n_leaked) / n_data;
-            m.dlp_total += dlp;
-            if (cfg_.record_dlp_series)
-                m.dlp_series[r] += dlp;
-            m.check_leak_total +=
-                static_cast<double>(truth.n_check_leaked()) / n_checks;
-            if (telem != nullptr) {
-                ++telem->leak_hist[static_cast<size_t>(n_leaked)];
-                if (telem->heatmap.enabled()) {
-                    uint64_t* row = telem->heatmap.row(r);
-                    truth.add_leak_occupancy(row, n_data, row + n_data,
-                                             n_checks);
-                }
-            }
-
-            if (graph != nullptr) {
-                for (int zi = 0; zi < nz; ++zi) {
-                    if (rr.detector[z_checks[zi]])
-                        defects.push_back(r * nz + zi);
-                }
-            }
-            clock.lap(telemetry::kAccounting);
-        }
-
-        if (graph != nullptr) {
-            const std::vector<uint8_t> flips = sim->final_data_measure();
-            clock.lap(telemetry::kSim);
-            for (int zi = 0; zi < nz; ++zi) {
-                uint8_t det = rr.meas_flip[z_checks[zi]];
-                for (int q : code.check(z_checks[zi]).support)
-                    det ^= flips[q];
-                if (det)
-                    defects.push_back(cfg_.rounds * nz + zi);
-            }
-            uint8_t observed = 0;
-            for (int q : code.logical_z())
-                observed ^= flips[q];
-            clock.lap(telemetry::kAccounting);
-            const bool predicted = decoder->decode_defects(defects);
-            clock.lap(telemetry::kDecode);
-            if ((observed != 0) != predicted)
-                ++m.logical_errors;
-            ++m.decoded_shots;
-        }
-        ++m.shots;
-    }
-    if (telem != nullptr) {
-        telem->shots += static_cast<uint64_t>(shots);
-        telem->rounds += static_cast<uint64_t>(shots) *
-                         static_cast<uint64_t>(cfg_.rounds);
-        telem->blocks += 1;
-        clock.lap(telemetry::kAccounting);
-    }
-    return m;
-}
-
-Metrics
-ExperimentRunner::run_block_batch(BatchSimulator& sim,
-                                  const PolicyFactory& factory,
-                                  uint64_t policy_seed, Rng shot_rng,
-                                  int shots,
-                                  const DecodingGraph* graph,
-                                  telemetry::Record* telem,
-                                  BlockResources* res) const
-{
-    const CssCode& code = ctx_->code();
-    const int n_data = code.n_data();
-    const int n_checks = code.n_checks();
+    // The block runs as lockstep batches of up to batch_width() shots:
+    // lane k of a batch is the block's (first + k)-th shot, with the
+    // same derived RNG streams on every backend.  The scalar backends
+    // are one-lane batches.
     const int width = sim.batch_width();
     const int W = sim.batch_n_words();  ///< words per lane span (K)
     const int max_lanes = std::min(width, shots);
-    const int rounds = cfg_.rounds;
-
-    // Same pure-side-channel contract as the scalar path; the batch
-    // flavour reads the heatmap and the leak histogram off the ground
-    // truth leak WORDS (one popcount per qubit instead of 64 oracle
-    // walks), which is a read-only view of the same flags.
-    telemetry::StageClock clock(telem);
-
-    Metrics m;
-    m.rounds_per_shot = rounds;
-    if (cfg_.record_dlp_series)
-        m.dlp_series.assign(static_cast<size_t>(rounds), 0.0);
+    clock.lap(telemetry::kSim);  // simulator reset/construction
 
     // One word-parallel policy per slot, decided for all lanes at once.
     // A factory policy without a word kernel runs behind the per-lane
     // fallback adapter, whose lane instances come from the same factory
     // and seed (in-tree policies derive nothing from the seed, and
     // begin_batch resets every lane's shot state, so lane k replays the
-    // scalar policy's k-th shot).
+    // policy's k-th shot of a one-lane run).
     if (res->policy == nullptr) {
         std::unique_ptr<Policy> p = factory(*ctx_, policy_seed);
         if (dynamic_cast<WordPolicy*>(p.get()) == nullptr) {
@@ -326,16 +171,17 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     std::vector<LaneMask>& final_det = res->final_det;
     final_det.resize(static_cast<size_t>(nz) * Ws);
     // Per-lane leak counts, gathered by one sparse pass over the leak
-    // words instead of 64*K oracle walks.
+    // words instead of per-lane oracle walks.
     std::vector<int>& data_leaked = res->data_leaked;
     std::vector<int>& check_leaked = res->check_leaked;
     data_leaked.assign(static_cast<size_t>(max_lanes), 0);
     check_leaked.assign(static_cast<size_t>(max_lanes), 0);
     // Float accumulators are buffered per (lane, round) and replayed
-    // shot-major below: double addition is order-sensitive, and the gate
-    // vs the scalar backend is BIT-exact equality, not approximation.
-    // The speculation counts are integer-valued, hence order-insensitive,
-    // and are summed straight off the mask words.
+    // shot-major below: double addition is order-sensitive, and shot
+    // order is what makes every batch width sum identically (frame ≡
+    // batch_frame is a BIT-exact gate).  The speculation counts are
+    // integer-valued, hence order-insensitive, and are summed straight
+    // off the mask words.
     std::vector<std::vector<double>>& dlp_buf = res->dlp_buf;
     std::vector<std::vector<double>>& chk_buf = res->chk_buf;
     if (static_cast<int>(dlp_buf.size()) < max_lanes) {
@@ -352,6 +198,11 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
 
+    // Zero words are skipped before every popcount below: the Release
+    // build has no -mpopcnt, so each popcount is a library call, and at
+    // one lane per word most words are zero.  The skip is exact — the
+    // totals only ever add non-negative integer-valued doubles, and
+    // x + 0.0 == x.
     const auto popcount = [](LaneMask x) {
         return static_cast<double>(__builtin_popcountll(x));
     };
@@ -375,8 +226,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
         policy->begin_batch(lanes_mask, W);
         masks.reset(n_data, n_checks, W);
         for (int l = 0; l < lanes; ++l) {
-            // Same per-shot draw the scalar path makes, in lane (= shot)
-            // order, from the same block-level stream.
+            // One leakage-sampling draw per shot, in lane (= shot)
+            // order, from the block-level stream.
             if (cfg_.leakage_sampling)
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
@@ -394,17 +245,22 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                 for (int w = 0; w < W; ++w) {
                     const size_t i = qb + static_cast<size_t>(w);
                     const LaneMask lrc = masks.data[i] & lanes_mask[w];
+                    if (lrc == 0)
+                        continue;
                     m.tp_total += popcount(lrc & leak_words[i]);
                     m.fp_total += popcount(lrc & ~leak_words[i]);
                     m.lrc_data_total += popcount(lrc);
                 }
             }
             for (int c = 0; c < n_checks; ++c) {
-                for (int w = 0; w < W; ++w)
-                    m.lrc_check_total += popcount(
+                for (int w = 0; w < W; ++w) {
+                    const LaneMask lrc =
                         masks.checks[static_cast<size_t>(c) * Ws +
                                      static_cast<size_t>(w)] &
-                        lanes_mask[w]);
+                        lanes_mask[w];
+                    if (lrc != 0)
+                        m.lrc_check_total += popcount(lrc);
+                }
             }
             clock.lap(telemetry::kAccounting);
 
@@ -422,8 +278,11 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             clock.lap(telemetry::kPolicy);
 
             // False negatives (leaked data qubits the policy did not
-            // schedule) + leak populations, word-wide: one pass over the
-            // leak words replaces 64 per-lane oracle walks.
+            // schedule), leak populations and the heatmap row, in one
+            // pass over the end-of-round leak words.
+            uint64_t* row = telem != nullptr && telem->heatmap.enabled()
+                                ? telem->heatmap.row(r)
+                                : nullptr;
             std::fill(data_leaked.begin(), data_leaked.end(), 0);
             std::fill(check_leaked.begin(), check_leaked.end(), 0);
             for (int q = 0; q < n_data; ++q) {
@@ -432,8 +291,13 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     const LaneMask lk =
                         leak_words[qb + static_cast<size_t>(w)] &
                         lanes_mask[w];
+                    if (lk == 0)
+                        continue;
                     m.fn_total += popcount(
                         lk & ~masks.data[qb + static_cast<size_t>(w)]);
+                    if (row != nullptr)
+                        row[q] += static_cast<uint64_t>(
+                            __builtin_popcountll(lk));
                     const int base = w * kBatchLanes;
                     for_each_lane(lk, [&](int b) {
                         ++data_leaked[static_cast<size_t>(base + b)];
@@ -447,43 +311,22 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
                     const LaneMask lk =
                         leak_words[ab + static_cast<size_t>(w)] &
                         lanes_mask[w];
+                    if (lk == 0)
+                        continue;
+                    if (row != nullptr)
+                        row[n_data + c] += static_cast<uint64_t>(
+                            __builtin_popcountll(lk));
                     const int base = w * kBatchLanes;
                     for_each_lane(lk, [&](int b) {
                         ++check_leaked[static_cast<size_t>(base + b)];
                     });
                 }
             }
-            if (telem != nullptr) {
-                // End-of-round leak populations, word-wide: the histogram
-                // reuses the per-lane counts computed above, the heatmap
-                // is one popcount per qubit column.
-                for (int l = 0; l < lanes; ++l)
-                    ++telem->leak_hist[static_cast<size_t>(
-                        data_leaked[static_cast<size_t>(l)])];
-                if (telem->heatmap.enabled()) {
-                    uint64_t* row = telem->heatmap.row(r);
-                    for (int q = 0; q < n_data; ++q) {
-                        const size_t qb = static_cast<size_t>(q) * Ws;
-                        for (int w = 0; w < W; ++w)
-                            row[q] += static_cast<uint64_t>(
-                                __builtin_popcountll(
-                                    leak_words[qb + static_cast<size_t>(w)] &
-                                    lanes_mask[w]));
-                    }
-                    uint64_t* crow = row + n_data;
-                    for (int c = 0; c < n_checks; ++c) {
-                        const size_t ab =
-                            static_cast<size_t>(code.ancilla_of(c)) * Ws;
-                        for (int w = 0; w < W; ++w)
-                            crow[c] += static_cast<uint64_t>(
-                                __builtin_popcountll(
-                                    leak_words[ab + static_cast<size_t>(w)] &
-                                    lanes_mask[w]));
-                    }
-                }
-            }
             for (int l = 0; l < lanes; ++l) {
                 const size_t li = static_cast<size_t>(l);
+                if (telem != nullptr)
+                    ++telem->leak_hist[static_cast<size_t>(
+                        data_leaked[li])];
                 dlp_buf[li][static_cast<size_t>(r)] =
                     static_cast<double>(data_leaked[li]) / n_data;
                 chk_buf[li][static_cast<size_t>(r)] =
@@ -541,8 +384,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             }
         }
 
-        // Shot-major replay of the per-shot tail: the float sums in the
-        // scalar accumulation order, then decode + shot counters.
+        // Shot-major replay of the per-shot tail: the float sums in
+        // shot order, then decode + shot counters.
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
             for (int r = 0; r < rounds; ++r) {

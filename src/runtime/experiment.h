@@ -89,11 +89,10 @@ struct ExperimentConfig {
  * slot, config) when worker-state reuse is on, once per (RNG stream,
  * shot block) work unit with reuse off — and reuses the instance across
  * blocks, with begin_shot() (begin_batch() for a WordPolicy) as the
- * per-shot reset point.  On a batch backend a policy that is not a
- * WordPolicy runs behind PerLanePolicy, which calls the factory once
- * more per lane it needs.  A policy must
- * therefore not carry state across shots except through observe/
- * begin_shot, and must not derive result-affecting state from `seed`
+ * per-shot reset point.  A policy that is not a WordPolicy runs behind
+ * PerLanePolicy, which calls the factory once more per lane it needs.
+ * A policy must therefore not carry state across shots except through
+ * observe/begin_shot, and must not derive result-affecting state from `seed`
  * (every in-tree policy ignores it); that is what keeps the build count
  * schedule-irrelevant.
  */
@@ -107,6 +106,12 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>(
  * semantics), while accounting speculation accuracy against the
  * simulator's ground-truth leakage state.  Optionally decodes the Z
  * detectors with union-find for the logical error rate.
+ *
+ * There is one block path for every backend: a block runs as lockstep
+ * batches over lane words (BatchSimulator), and the scalar frame and
+ * tableau backends are one-lane batches.  The constructor refuses
+ * batch_words outside [1, kMaxBatchWords] and rounds < 1 with
+ * std::invalid_argument.
  */
 class ExperimentRunner {
   public:
@@ -146,9 +151,10 @@ class ExperimentRunner {
      * result is independent of which thread runs which unit, but
      * changing the block size (like changing rng_streams or batch_words)
      * changes the draws.  Aligned with the bit-packed batch width
-     * (sim/batch_driver.h): a batch-capable backend runs a whole block
+     * (sim/batch_driver.h): a packed batch backend runs a whole block
      * as one lockstep batch, a partial final block as a batch with the
-     * trailing lanes masked off.
+     * trailing lanes masked off; a scalar backend runs it one lane at a
+     * time.
      */
     static constexpr int kShotBlock = 64;
 
@@ -191,15 +197,14 @@ class ExperimentRunner {
      */
     struct BlockResources;
 
+    /**
+     * Runs one (stream, block) work unit as lockstep batches of up to
+     * batch_width() shots — the one block loop of every backend (the
+     * scalar backends are one-lane batches).
+     */
     Metrics run_block(const PolicyFactory& factory, int stream, int block,
                       const DecodingGraph* graph, telemetry::Record* telem,
                       BlockResources* res) const;
-    Metrics run_block_batch(class BatchSimulator& sim,
-                            const PolicyFactory& factory,
-                            uint64_t policy_seed, Rng shot_rng, int shots,
-                            const DecodingGraph* graph,
-                            telemetry::Record* telem,
-                            BlockResources* res) const;
 
     const CodeContext* ctx_;
     ExperimentConfig cfg_;

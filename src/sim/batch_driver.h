@@ -828,71 +828,6 @@ class BatchLeakageDriver final {
 };
 
 /**
- * A batch-capable simulation backend: the full scalar Simulator API (so
- * every interface-level test, policy and tool works unchanged — scalar
- * calls address lane 0) plus the lockstep batch entry points the
- * scheduler uses to run a whole shot block as one unit.
- */
-class BatchSimulator : public Simulator {
-  public:
-    /** Max shots one batch holds (batch_words*64 for packed backends). */
-    virtual int batch_width() const = 0;
-
-    /** Starts a batch of n_lanes shots (see BatchLeakageDriver). */
-    virtual void reset_shot_batch(int n_lanes) = 0;
-
-    /** Forces lane `lane`'s data qubit q into the leaked state. */
-    virtual void inject_data_leak_lane(int lane, int q) = 0;
-
-    /** Words per lane span (K); leaked_words() strides by this. */
-    virtual int batch_n_words() const = 0;
-
-    /**
-     * Ground-truth leak-flag words, one span per qubit (bit l of word w
-     * = lane w*64+l) — the whole batch's truth in one read, so the
-     * runner's per-round speculation accounting is popcounts over words
-     * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
-     * word w of qubit q (data qubits first, then ancillas).
-     */
-    virtual const LaneMask* leaked_words() const = 0;
-
-    /**
-     * Round words of the last round, one span per check (entry
-     * c*batch_n_words()+w; bit l of word w = lane w*64+l) — the bits
-     * run_round_batch unpacks into each lane's RoundResult, read
-     * without the per-lane transpose.  Bits of lanes outside the batch
-     * are unspecified; mask them.
-     */
-    virtual const LaneMask* detector_words() const = 0;
-    virtual const LaneMask* meas_flip_words() const = 0;
-    virtual const LaneMask* mlr_flag_words() const = 0;
-
-    /**
-     * One lockstep round over every active lane, LRCs given as lane
-     * masks (BatchLeakageDriver::run_round_masks); the outcome is read
-     * from the round words.
-     */
-    virtual void run_round_masks(const LrcMasks& lrcs) = 0;
-
-    /**
-     * One lockstep round over every active lane, LRCs given as per-lane
-     * ascending schedules; the outcome is unpacked per lane.
-     */
-    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                 std::vector<RoundResult>* out) = 0;
-
-    /**
-     * Lockstep final transversal readout of every active lane: outcome
-     * flip words, one span per data qubit, valid until the next call.
-     */
-    virtual const LaneMask* final_data_measure_words() = 0;
-
-    /** final_data_measure_words, unpacked per lane. */
-    virtual void final_data_measure_batch(
-        std::vector<std::vector<uint8_t>>* out) = 0;
-};
-
-/**
  * Batch analogue of LeakageDriverSim: a backend derives, implements the
  * seven BatchStatePrimitives plus name(), and gets the whole Simulator
  * API — scalar calls run the batch driver one lane wide, so the same
@@ -942,11 +877,6 @@ class BatchLeakageDriverSim : public BatchSimulator,
     const LaneMask* final_data_measure_words() final
     {
         return driver_.final_data_measure_words();
-    }
-    void final_data_measure_batch(
-        std::vector<std::vector<uint8_t>>* out) final
-    {
-        driver_.final_data_measure_batch(out);
     }
 
     /**

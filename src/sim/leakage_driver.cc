@@ -1,5 +1,9 @@
 #include "sim/leakage_driver.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 namespace gld {
 
 LeakageDriver::LeakageDriver(const CssCode& code, const RoundCircuit& rc,
@@ -66,7 +70,7 @@ LeakageDriver::n_data_leaked() const
 {
     int n = 0;
     for (int q = 0; q < code_->n_data(); ++q)
-        n += leaked_[static_cast<size_t>(q)];
+        n += static_cast<int>(leaked_[static_cast<size_t>(q)]);
     return n;
 }
 
@@ -75,7 +79,8 @@ LeakageDriver::n_check_leaked() const
 {
     int n = 0;
     for (int c = 0; c < code_->n_checks(); ++c)
-        n += leaked_[static_cast<size_t>(code_->ancilla_of(c))];
+        n += static_cast<int>(
+            leaked_[static_cast<size_t>(code_->ancilla_of(c))]);
     return n;
 }
 
@@ -300,6 +305,80 @@ LeakageDriver::final_data_measure()
         flips[static_cast<size_t>(q)] = flip;
     }
     return flips;
+}
+
+// --- LeakageDriverSim: the scalar driver as a one-lane batch. ---
+
+LeakageDriverSim::LeakageDriverSim(const CssCode& code,
+                                   const RoundCircuit& rc,
+                                   const NoiseParams& np, Rng noise_rng)
+    : driver_(code, rc, np, noise_rng, this),
+      det_(static_cast<size_t>(code.n_checks()), 0),
+      meas_(static_cast<size_t>(code.n_checks()), 0),
+      mlr_(static_cast<size_t>(code.n_checks()), 0),
+      final_(static_cast<size_t>(code.n_data()), 0)
+{
+}
+
+RoundResult
+LeakageDriverSim::run_round(const LrcSchedule& lrcs)
+{
+    // One word per check; lane 0 is bit 0, so a 0/1 byte is its word.
+    RoundResult rr = driver_.run_round(lrcs);
+    std::copy(rr.detector.begin(), rr.detector.end(), det_.begin());
+    std::copy(rr.meas_flip.begin(), rr.meas_flip.end(), meas_.begin());
+    std::copy(rr.mlr_flag.begin(), rr.mlr_flag.end(), mlr_.begin());
+    return rr;
+}
+
+std::vector<uint8_t>
+LeakageDriverSim::final_data_measure()
+{
+    std::vector<uint8_t> flips = driver_.final_data_measure();
+    std::copy(flips.begin(), flips.end(), final_.begin());
+    return flips;
+}
+
+void
+LeakageDriverSim::reset_shot_batch(int n_lanes)
+{
+    if (n_lanes != 1)
+        throw std::invalid_argument(
+            name() + ": one-lane backend cannot start a batch of " +
+            std::to_string(n_lanes) + " shots");
+    driver_.reset_shot();
+}
+
+void
+LeakageDriverSim::inject_data_leak_lane(int lane, int q)
+{
+    if (lane != 0)
+        throw std::invalid_argument(name() +
+                                    ": one-lane backend has no lane " +
+                                    std::to_string(lane));
+    driver_.set_leak(q);
+}
+
+void
+LeakageDriverSim::run_round_masks(const LrcMasks& lrcs)
+{
+    lrcs.lane_schedule(0, &sched_);
+    run_round(sched_);
+}
+
+void
+LeakageDriverSim::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                                  std::vector<RoundResult>* out)
+{
+    out->resize(1);
+    (*out)[0] = run_round(lane_lrcs.at(0));
+}
+
+const LaneMask*
+LeakageDriverSim::final_data_measure_words()
+{
+    final_data_measure();
+    return final_.data();
 }
 
 }  // namespace gld

@@ -145,6 +145,12 @@ class LeakageDriver final : public LeakageOracle {
     void clear_leak(int q) { leaked_[q] = 0; }
     /** Leak flag of any qubit (data or ancilla index). */
     bool leaked(int q) const { return leaked_[q] != 0; }
+    /**
+     * The leak flags as one-lane words (0 or 1 per qubit, data qubits
+     * first, then ancillas): the BatchSimulator::leaked_words() view of
+     * a one-lane batch, with no per-round packing.
+     */
+    const LaneMask* leaked_words() const { return leaked_.data(); }
 
     // --- LeakageOracle (ground truth). ---
     bool data_leaked(int q) const override { return leaked_[q] != 0; }
@@ -196,7 +202,7 @@ class LeakageDriver final : public LeakageOracle {
     uint64_t shot_index_ = 0;  ///< shots started (next reset_shot id)
     StatePrimitives* state_;
 
-    std::vector<uint8_t> leaked_;  ///< leak flag per qubit
+    std::vector<LaneMask> leaked_;  ///< leak flag per qubit, 0 or 1
     std::vector<uint8_t> prev_meas_;
     std::vector<int> lrc_partner_;
     bool first_round_ = true;
@@ -205,12 +211,18 @@ class LeakageDriver final : public LeakageOracle {
 /**
  * Simulator implemented as a LeakageDriver over this object's own
  * StatePrimitives: derive, implement the primitives plus name(), and the
- * entire leakage semantics comes along.  Both in-tree backends are built
+ * entire leakage semantics comes along.  Both scalar backends are built
  * this way, which is what keeps them semantically identical by
  * construction — a third backend is a primitives provider, not a
  * re-implementation of the round dynamics.
+ *
+ * It is also a one-lane BatchSimulator (width 1, K = 1), so the runner
+ * drives frame and tableau through the same block loop as the packed
+ * batch backends: the leak words are the driver's flag array, the round
+ * words are packed from each RoundResult, and run_round_masks unpacks
+ * lane 0's schedule.
  */
-class LeakageDriverSim : public Simulator, protected StatePrimitives {
+class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
     void reset_shot() final { driver_.reset_shot(); }
     /**
@@ -231,14 +243,25 @@ class LeakageDriverSim : public Simulator, protected StatePrimitives {
     void inject_z(int q) final { apply_pauli(q, kPauliZ); }
     void clear_leak(int q) final { driver_.clear_leak(q); }
     const LeakageOracle& leak_oracle() const final { return driver_; }
-    RoundResult run_round(const LrcSchedule& lrcs) final
+    RoundResult run_round(const LrcSchedule& lrcs) final;
+    std::vector<uint8_t> final_data_measure() final;
+
+    // --- BatchSimulator: one lane, one word. ---
+    int batch_width() const final { return 1; }
+    int batch_n_words() const final { return 1; }
+    void reset_shot_batch(int n_lanes) final;
+    void inject_data_leak_lane(int lane, int q) final;
+    const LaneMask* leaked_words() const final
     {
-        return driver_.run_round(lrcs);
+        return driver_.leaked_words();
     }
-    std::vector<uint8_t> final_data_measure() final
-    {
-        return driver_.final_data_measure();
-    }
+    const LaneMask* detector_words() const final { return det_.data(); }
+    const LaneMask* meas_flip_words() const final { return meas_.data(); }
+    const LaneMask* mlr_flag_words() const final { return mlr_.data(); }
+    void run_round_masks(const LrcMasks& lrcs) final;
+    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                         std::vector<RoundResult>* out) final;
+    const LaneMask* final_data_measure_words() final;
 
     /** The LRC partner ancilla (check index) used for data qubit q. */
     int lrc_partner(int q) const { return driver_.lrc_partner(q); }
@@ -253,12 +276,16 @@ class LeakageDriverSim : public Simulator, protected StatePrimitives {
      *        its seed so one seed still fixes the whole shot sequence.
      */
     LeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
-                     const NoiseParams& np, Rng noise_rng)
-        : driver_(code, rc, np, noise_rng, this)
-    {
-    }
+                     const NoiseParams& np, Rng noise_rng);
 
     LeakageDriver driver_;
+
+  private:
+    // One-lane round words of the last round (one word per check) and
+    // of the last final readout (one per data qubit); zero until the
+    // first call writes them.
+    std::vector<LaneMask> det_, meas_, mlr_, final_;
+    LrcSchedule sched_;  ///< run_round_masks' unpacked lane-0 schedule
 };
 
 }  // namespace gld

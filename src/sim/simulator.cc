@@ -336,7 +336,7 @@ batch_words_from_env()
     return static_cast<int>(v);
 }
 
-std::unique_ptr<Simulator>
+std::unique_ptr<BatchSimulator>
 make_simulator(SimBackend backend, const CssCode& code,
                const RoundCircuit& rc, const NoiseParams& np, uint64_t seed,
                int batch_words, NoiseSampling noise_sampling)

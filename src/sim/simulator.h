@@ -215,6 +215,76 @@ class Simulator {
 };
 
 /**
+ * Every backend is a BatchSimulator: the full scalar Simulator API
+ * (scalar calls address lane 0) plus the lockstep batch entry points
+ * the runner drives a whole shot block through.  The packed batch
+ * backends hold batch_words*64 lanes; the scalar frame and tableau
+ * engines are one-lane batches (width 1, K = 1), so the runner has a
+ * single block loop for every backend.
+ */
+class BatchSimulator : public Simulator {
+  public:
+    /** Max shots one batch holds (batch_words*64 for packed backends). */
+    virtual int batch_width() const = 0;
+
+    /**
+     * Starts a batch of n_lanes shots (1 <= n_lanes <= batch_width();
+     * a one-lane backend refuses any other count with
+     * std::invalid_argument).
+     */
+    virtual void reset_shot_batch(int n_lanes) = 0;
+
+    /**
+     * Forces lane `lane`'s data qubit q into the leaked state (a
+     * one-lane backend refuses lane != 0 with std::invalid_argument).
+     */
+    virtual void inject_data_leak_lane(int lane, int q) = 0;
+
+    /** Words per lane span (K); leaked_words() strides by this. */
+    virtual int batch_n_words() const = 0;
+
+    /**
+     * Ground-truth leak-flag words, one span per qubit (bit l of word w
+     * = lane w*64+l) — the whole batch's truth in one read, so the
+     * runner's per-round speculation accounting is popcounts over words
+     * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
+     * word w of qubit q (data qubits first, then ancillas).
+     */
+    virtual const LaneMask* leaked_words() const = 0;
+
+    /**
+     * Round words of the last round, one span per check (entry
+     * c*batch_n_words()+w; bit l of word w = lane w*64+l) — the bits
+     * run_round_batch unpacks into each lane's RoundResult, read
+     * without the per-lane transpose.  Bits of lanes outside the batch
+     * are unspecified; mask them.  Zero before the first round.
+     */
+    virtual const LaneMask* detector_words() const = 0;
+    virtual const LaneMask* meas_flip_words() const = 0;
+    virtual const LaneMask* mlr_flag_words() const = 0;
+
+    /**
+     * One lockstep round over every active lane, LRCs given as lane
+     * masks (see LrcMasks for the per-lane apply order); the outcome is
+     * read from the round words.
+     */
+    virtual void run_round_masks(const LrcMasks& lrcs) = 0;
+
+    /**
+     * One lockstep round over every active lane, LRCs given as per-lane
+     * ascending schedules; the outcome is unpacked per lane.
+     */
+    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                                 std::vector<RoundResult>* out) = 0;
+
+    /**
+     * Lockstep final transversal readout of every active lane: outcome
+     * flip words, one span per data qubit, valid until the next call.
+     */
+    virtual const LaneMask* final_data_measure_words() = 0;
+};
+
+/**
  * The available backends.  kFrame is the paper's Pauli-frame engine (fast,
  * samples Pauli noise exactly); kTableau drives the exact CHP stabilizer
  * tableau through the same round circuit (slower by O(n^2) per
@@ -345,11 +415,11 @@ double backend_cost_factor(SimBackend backend, int n_qubits);
  * Builds a backend over a code's scheduled round circuit.  `batch_words`
  * is the lane-span width K for the batch backends (batch_frame,
  * batch_tableau): one batch holds 64*K shots.  Scalar backends ignore
- * it; out-of-range values throw for every backend.  `noise_sampling`
- * selects the batch backends' Bernoulli draw contract (lockstep or
- * event-driven sparse); scalar backends ignore it.
+ * it (they are one-lane batches); out-of-range values throw for every
+ * backend.  `noise_sampling` selects the batch backends' Bernoulli draw
+ * contract (lockstep or event-driven sparse); scalar backends ignore it.
  */
-std::unique_ptr<Simulator> make_simulator(
+std::unique_ptr<BatchSimulator> make_simulator(
     SimBackend backend, const CssCode& code, const RoundCircuit& rc,
     const NoiseParams& np, uint64_t seed, int batch_words = 1,
     NoiseSampling noise_sampling = NoiseSampling::kLockstep);

@@ -45,6 +45,16 @@ small_spec(const std::string& name)
     return spec;
 }
 
+/** run_shard options with telemetry off, `threads` threads per job. */
+RunShardOptions
+untraced(int threads)
+{
+    RunShardOptions opt;
+    opt.threads = threads;
+    opt.telemetry = false;
+    return opt;
+}
+
 std::string
 fresh_dir(const std::string& tag)
 {
@@ -126,6 +136,21 @@ TEST(CampaignSpec, ValidationRejectsBadNames)
     spec.codes.clear();
     EXPECT_THROW(spec.expand(), std::runtime_error);
     EXPECT_NO_THROW(small_spec("good").validate());
+}
+
+TEST(CampaignSpec, ValidationRejectsFewerThanOneRound)
+{
+    for (SimBackend b : known_backends()) {
+        for (int rounds : {0, -1}) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " rounds=" +
+                         std::to_string(rounds));
+            CampaignSpec spec = small_spec("rounds");
+            spec.backend = b;
+            spec.rounds = rounds;
+            spec.compute_ler = true;
+            EXPECT_THROW(spec.validate(), std::invalid_argument);
+        }
+    }
 }
 
 TEST(CostModel, JobCostUnitsWeighShotsRoundsAndBackend)
@@ -263,7 +288,7 @@ TEST(CampaignPlan, ShardMergeStaysBitIdenticalUnderLpt)
     const int n_shards = 3;
     const std::string dir = fresh_dir("plan_merge");
     for (int shard = 0; shard < n_shards; ++shard)
-        run_shard(spec, shard, n_shards, dir, /*threads=*/2);
+        run_shard(spec, shard, n_shards, dir, untraced(2));
     const std::vector<Metrics> merged =
         merge_campaign(spec, n_shards, dir);
 
@@ -360,7 +385,7 @@ TEST(ShardEquivalence, ThreeShardsMergeBitIdenticalToSingleProcess)
 
     for (int shard = 0; shard < n_shards; ++shard) {
         const RunShardStats stats =
-            run_shard(spec, shard, n_shards, dir, /*threads=*/2);
+            run_shard(spec, shard, n_shards, dir, untraced(2));
         EXPECT_EQ(stats.jobs_run, 2);
         EXPECT_EQ(stats.jobs_resumed, 0);
     }
@@ -391,26 +416,26 @@ TEST(Resume, SkipsValidRecomputesStaleAndCorrupt)
     const CampaignSpec spec = small_spec("resume");
     const std::string dir = fresh_dir("resume");
 
-    RunShardStats first = run_shard(spec, 0, 2, dir, 1);
+    RunShardStats first = run_shard(spec, 0, 2, dir, untraced(1));
     EXPECT_EQ(first.jobs_run, 2);
     EXPECT_EQ(first.jobs_resumed, 0);
 
     // Same spec again: everything resumes, nothing recomputes.
-    RunShardStats second = run_shard(spec, 0, 2, dir, 1);
+    RunShardStats second = run_shard(spec, 0, 2, dir, untraced(1));
     EXPECT_EQ(second.jobs_run, 0);
     EXPECT_EQ(second.jobs_resumed, 2);
 
     // A changed config (different hash) invalidates the checkpoints.
     CampaignSpec changed = spec;
     changed.rounds += 1;
-    RunShardStats third = run_shard(changed, 0, 2, dir, 1);
+    RunShardStats third = run_shard(changed, 0, 2, dir, untraced(1));
     EXPECT_EQ(third.jobs_run, 2);
     EXPECT_EQ(third.jobs_resumed, 0);
 
     // A garbled result file is recomputed, not trusted.
     const std::string victim = shard_result_path(dir, changed, 0, 0, 2);
     io::write_file_atomic(victim, "{\"gld_version\": 1, truncated");
-    RunShardStats fourth = run_shard(changed, 0, 2, dir, 1);
+    RunShardStats fourth = run_shard(changed, 0, 2, dir, untraced(1));
     EXPECT_EQ(fourth.jobs_run, 1);
     EXPECT_EQ(fourth.jobs_resumed, 1);
 
@@ -422,7 +447,7 @@ TEST(Resume, SkipsValidRecomputesStaleAndCorrupt)
     std::swap(swapped.policies[0], swapped.policies[1]);
     EXPECT_EQ(io::config_hash(swapped.expand()[0].cfg),
               io::config_hash(changed.expand()[0].cfg));
-    RunShardStats fifth = run_shard(swapped, 0, 2, dir, 1);
+    RunShardStats fifth = run_shard(swapped, 0, 2, dir, untraced(1));
     EXPECT_EQ(fifth.jobs_run, 2);
     EXPECT_EQ(fifth.jobs_resumed, 0);
 }
@@ -431,11 +456,11 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
 {
     const CampaignSpec spec = small_spec("strict");
     const std::string dir = fresh_dir("strict");
-    run_shard(spec, 0, 2, dir, 1);
+    run_shard(spec, 0, 2, dir, untraced(1));
     // Shard 1 of 2 never ran.
     EXPECT_THROW(merge_campaign(spec, 2, dir), std::runtime_error);
 
-    run_shard(spec, 1, 2, dir, 1);
+    run_shard(spec, 1, 2, dir, untraced(1));
     EXPECT_NO_THROW(merge_campaign(spec, 2, dir));
 
     // Results on disk from a different config must be rejected, not
@@ -481,7 +506,7 @@ TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
     // And the nested-pool schedule is a pure execution detail: the
     // merged results match a serial single-thread pass bit for bit.
     const std::string dir_serial = fresh_dir("shared_budget_serial");
-    run_shard(spec, 0, 1, dir_serial, /*threads=*/1);
+    run_shard(spec, 0, 1, dir_serial, untraced(1));
     const std::vector<Metrics> par = merge_campaign(spec, 1, dir);
     const std::vector<Metrics> ser = merge_campaign(spec, 1, dir_serial);
     ASSERT_EQ(par.size(), ser.size());
@@ -495,9 +520,9 @@ TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
 
 TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
 {
-    // run_shard with telemetry + heatmaps on vs the legacy (telemetry
-    // off) entry point: the merged Metrics must be bit-identical — the
-    // campaign-level extension of the runner drift gate.
+    // run_shard with telemetry + heatmaps on vs telemetry off: the
+    // merged Metrics must be bit-identical — the campaign-level
+    // extension of the runner drift gate.
     const CampaignSpec spec = small_spec("side_channel");
     const int n_shards = 2;
     const std::string dir_on = fresh_dir("side_channel_on");
@@ -509,7 +534,7 @@ TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
     ASSERT_TRUE(opt.telemetry);
     for (int shard = 0; shard < n_shards; ++shard) {
         run_shard(spec, shard, n_shards, dir_on, opt);
-        run_shard(spec, shard, n_shards, dir_off, /*threads=*/2);
+        run_shard(spec, shard, n_shards, dir_off, untraced(2));
     }
     const std::vector<Metrics> on = merge_campaign(spec, n_shards, dir_on);
     const std::vector<Metrics> off = merge_campaign(spec, n_shards, dir_off);

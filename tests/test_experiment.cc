@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "codes/surface_code.h"
 
 namespace gld {
@@ -217,6 +220,31 @@ TEST(ExperimentRunner, ThreadedRunMergesAllShots)
     ExperimentRunner runner(h.ctx, cfg);
     const Metrics m = runner.run(PolicyZoo::eraser(true));
     EXPECT_EQ(m.shots, 40);
+}
+
+TEST(ExperimentRunner, RefusesFewerThanOneRound)
+{
+    // A run needs at least one round: the final-round detectors XOR the
+    // data readout into the last round's measurements.
+    Harness h(3);
+    for (SimBackend b : known_backends()) {
+        for (int rounds : {0, -1}) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " rounds=" +
+                         std::to_string(rounds));
+            ExperimentConfig cfg;
+            cfg.rounds = rounds;
+            cfg.compute_ler = true;
+            cfg.backend = b;
+            try {
+                const ExperimentRunner runner(h.ctx, cfg);
+                ADD_FAILURE() << "rounds=" << rounds << " accepted";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("rounds"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 }  // namespace

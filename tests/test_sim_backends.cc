@@ -450,9 +450,9 @@ TEST(SimBackends, TableauClosedLoopRunsUnderEraserPolicy)
 
 TEST(SimBackends, TableauOracleFeedsIdealPolicyThroughInterface)
 {
-    // IDEAL reads the ground-truth oracle through the Simulator base —
-    // with the tableau backend this only works if set_oracle is wired
-    // through the interface, which is exactly what this pins.
+    // IDEAL reads the ground truth from the leak words the tableau
+    // backend exposes as a one-lane batch — this pins that they are its
+    // driver's live flags.
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -763,6 +763,106 @@ TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)
     }
 }
 
+
+// --- The one-lane batch contract of the scalar backends. ---
+
+constexpr SimBackend kScalarBackends[] = {SimBackend::kFrame,
+                                          SimBackend::kTableau};
+
+TEST(OneLaneBatch, RefusesAnyLaneButZero)
+{
+    const Harness h(SurfaceCode::make(3));
+    for (SimBackend b : kScalarBackends) {
+        SCOPED_TRACE(backend_name(b));
+        const auto sim = make_simulator(b, h.code, h.rc, noiseless(), 1, 4);
+        EXPECT_EQ(sim->batch_width(), 1);
+        EXPECT_EQ(sim->batch_n_words(), 1);
+        for (int n : {0, 2, 64})
+            EXPECT_THROW(sim->reset_shot_batch(n), std::invalid_argument);
+        EXPECT_THROW(sim->inject_data_leak_lane(1, 0),
+                     std::invalid_argument);
+        sim->reset_shot_batch(1);
+        sim->inject_data_leak_lane(0, 2);
+        EXPECT_TRUE(sim->data_leaked(2));
+        EXPECT_EQ(sim->leaked_words()[2], 1u);
+        EXPECT_EQ(sim->leaked_words()[0], 0u);
+    }
+}
+
+TEST(OneLaneBatch, WordsMatchTheScalarCallsOfASameSeedTwin)
+{
+    // Same seed, same schedules: the one-lane words of run_round_masks
+    // (even rounds) and run_round_batch (odd rounds) must equal the
+    // bytes run_round hands a twin, and likewise the final readout.
+    const Harness h(SurfaceCode::make(3));
+    const NoiseParams np = NoiseParams::standard(5e-3, 1.0);
+    const int n_data = h.code.n_data();
+    const int n_checks = h.code.n_checks();
+    for (SimBackend b : kScalarBackends) {
+        SCOPED_TRACE(backend_name(b));
+        const auto words = make_simulator(b, h.code, h.rc, np, 31);
+        const auto bytes = make_simulator(b, h.code, h.rc, np, 31);
+        // The round words exist, zeroed, before the first round.
+        for (int c = 0; c < n_checks; ++c) {
+            EXPECT_EQ(words->detector_words()[c], 0u);
+            EXPECT_EQ(words->meas_flip_words()[c], 0u);
+            EXPECT_EQ(words->mlr_flag_words()[c], 0u);
+        }
+        LrcMasks masks;
+        std::vector<LrcSchedule> lane_scheds(1);
+        std::vector<RoundResult> lane_rounds;
+        for (int shot = 0; shot < 4; ++shot) {
+            words->reset_shot_batch(1);
+            bytes->reset_shot();
+            words->inject_data_leak_lane(0, shot);
+            bytes->inject_data_leak(shot);
+            LrcSchedule sched;
+            for (int r = 0; r < 6; ++r) {
+                if (r % 2 == 0) {
+                    masks.reset(n_data, n_checks, 1);
+                    masks.add_lane(0, sched);
+                    words->run_round_masks(masks);
+                } else {
+                    lane_scheds[0] = sched;
+                    words->run_round_batch(lane_scheds, &lane_rounds);
+                }
+                const RoundResult rr = bytes->run_round(sched);
+                if (r % 2 == 1) {
+                    EXPECT_EQ(lane_rounds.at(0).detector, rr.detector);
+                    EXPECT_EQ(lane_rounds.at(0).meas_flip, rr.meas_flip);
+                    EXPECT_EQ(lane_rounds.at(0).mlr_flag, rr.mlr_flag);
+                }
+                for (int c = 0; c < n_checks; ++c) {
+                    const size_t ci = static_cast<size_t>(c);
+                    EXPECT_EQ(words->detector_words()[c], rr.detector[ci]);
+                    EXPECT_EQ(words->meas_flip_words()[c],
+                              rr.meas_flip[ci]);
+                    EXPECT_EQ(words->mlr_flag_words()[c], rr.mlr_flag[ci]);
+                    EXPECT_EQ(words->leaked_words()[h.code.ancilla_of(c)],
+                              bytes->check_leaked(c) ? 1u : 0u);
+                }
+                for (int q = 0; q < n_data; ++q)
+                    EXPECT_EQ(words->leaked_words()[q],
+                              bytes->data_leaked(q) ? 1u : 0u);
+                // Next round: LRC the leaked data qubits and the checks
+                // whose detector fired.
+                sched.clear();
+                for (int q = 0; q < n_data; ++q) {
+                    if (bytes->data_leaked(q))
+                        sched.data_qubits.push_back(q);
+                }
+                for (int c = 0; c < n_checks; ++c) {
+                    if (rr.detector[static_cast<size_t>(c)])
+                        sched.checks.push_back(c);
+                }
+            }
+            const std::vector<uint8_t> want = bytes->final_data_measure();
+            const LaneMask* got = words->final_data_measure_words();
+            for (int q = 0; q < n_data; ++q)
+                EXPECT_EQ(got[q], want[static_cast<size_t>(q)]);
+        }
+    }
+}
 
 // --- Scalar-backend golden digest. ---
 //
