@@ -239,27 +239,33 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         for (int r = 0; r < rounds; ++r) {
             // Account the LRCs about to be applied against each lane's
             // ground truth: popcounts of mask AND leak AND active.
+            // Most rounds schedule nothing and leak nothing, so one OR
+            // over a whole word array skips a loop that would add zero.
             const LaneMask* leak_words = sim.leaked_words();
-            for (int q = 0; q < n_data; ++q) {
-                const size_t qb = static_cast<size_t>(q) * Ws;
-                for (int w = 0; w < W; ++w) {
-                    const size_t i = qb + static_cast<size_t>(w);
-                    const LaneMask lrc = masks.data[i] & lanes_mask[w];
-                    if (lrc == 0)
-                        continue;
-                    m.tp_total += popcount(lrc & leak_words[i]);
-                    m.fp_total += popcount(lrc & ~leak_words[i]);
-                    m.lrc_data_total += popcount(lrc);
+            if (lanes_any(masks.data.data(), n_data * W) != 0) {
+                for (int q = 0; q < n_data; ++q) {
+                    const size_t qb = static_cast<size_t>(q) * Ws;
+                    for (int w = 0; w < W; ++w) {
+                        const size_t i = qb + static_cast<size_t>(w);
+                        const LaneMask lrc = masks.data[i] & lanes_mask[w];
+                        if (lrc == 0)
+                            continue;
+                        m.tp_total += popcount(lrc & leak_words[i]);
+                        m.fp_total += popcount(lrc & ~leak_words[i]);
+                        m.lrc_data_total += popcount(lrc);
+                    }
                 }
             }
-            for (int c = 0; c < n_checks; ++c) {
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask lrc =
-                        masks.checks[static_cast<size_t>(c) * Ws +
-                                     static_cast<size_t>(w)] &
-                        lanes_mask[w];
-                    if (lrc != 0)
-                        m.lrc_check_total += popcount(lrc);
+            if (lanes_any(masks.checks.data(), n_checks * W) != 0) {
+                for (int c = 0; c < n_checks; ++c) {
+                    for (int w = 0; w < W; ++w) {
+                        const LaneMask lrc =
+                            masks.checks[static_cast<size_t>(c) * Ws +
+                                         static_cast<size_t>(w)] &
+                            lanes_mask[w];
+                        if (lrc != 0)
+                            m.lrc_check_total += popcount(lrc);
+                    }
                 }
             }
             clock.lap(telemetry::kAccounting);
@@ -285,41 +291,43 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                                 : nullptr;
             std::fill(data_leaked.begin(), data_leaked.end(), 0);
             std::fill(check_leaked.begin(), check_leaked.end(), 0);
-            for (int q = 0; q < n_data; ++q) {
-                const size_t qb = static_cast<size_t>(q) * Ws;
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask lk =
-                        leak_words[qb + static_cast<size_t>(w)] &
-                        lanes_mask[w];
-                    if (lk == 0)
-                        continue;
-                    m.fn_total += popcount(
-                        lk & ~masks.data[qb + static_cast<size_t>(w)]);
-                    if (row != nullptr)
-                        row[q] += static_cast<uint64_t>(
-                            __builtin_popcountll(lk));
-                    const int base = w * kBatchLanes;
-                    for_each_lane(lk, [&](int b) {
-                        ++data_leaked[static_cast<size_t>(base + b)];
-                    });
+            if (lanes_any(leak_words, code.n_qubits() * W) != 0) {
+                for (int q = 0; q < n_data; ++q) {
+                    const size_t qb = static_cast<size_t>(q) * Ws;
+                    for (int w = 0; w < W; ++w) {
+                        const LaneMask lk =
+                            leak_words[qb + static_cast<size_t>(w)] &
+                            lanes_mask[w];
+                        if (lk == 0)
+                            continue;
+                        m.fn_total += popcount(
+                            lk & ~masks.data[qb + static_cast<size_t>(w)]);
+                        if (row != nullptr)
+                            row[q] += static_cast<uint64_t>(
+                                __builtin_popcountll(lk));
+                        const int base = w * kBatchLanes;
+                        for_each_lane(lk, [&](int b) {
+                            ++data_leaked[static_cast<size_t>(base + b)];
+                        });
+                    }
                 }
-            }
-            for (int c = 0; c < n_checks; ++c) {
-                const size_t ab =
-                    static_cast<size_t>(code.ancilla_of(c)) * Ws;
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask lk =
-                        leak_words[ab + static_cast<size_t>(w)] &
-                        lanes_mask[w];
-                    if (lk == 0)
-                        continue;
-                    if (row != nullptr)
-                        row[n_data + c] += static_cast<uint64_t>(
-                            __builtin_popcountll(lk));
-                    const int base = w * kBatchLanes;
-                    for_each_lane(lk, [&](int b) {
-                        ++check_leaked[static_cast<size_t>(base + b)];
-                    });
+                for (int c = 0; c < n_checks; ++c) {
+                    const size_t ab =
+                        static_cast<size_t>(code.ancilla_of(c)) * Ws;
+                    for (int w = 0; w < W; ++w) {
+                        const LaneMask lk =
+                            leak_words[ab + static_cast<size_t>(w)] &
+                            lanes_mask[w];
+                        if (lk == 0)
+                            continue;
+                        if (row != nullptr)
+                            row[n_data + c] += static_cast<uint64_t>(
+                                __builtin_popcountll(lk));
+                        const int base = w * kBatchLanes;
+                        for_each_lane(lk, [&](int b) {
+                            ++check_leaked[static_cast<size_t>(base + b)];
+                        });
+                    }
                 }
             }
             for (int l = 0; l < lanes; ++l) {
