@@ -209,11 +209,18 @@ LeakageDriver::apply_lrc_check(int c)
 RoundResult
 LeakageDriver::run_round(const LrcSchedule& lrcs)
 {
-    const int n_checks = code_->n_checks();
     RoundResult out;
-    out.meas_flip.assign(static_cast<size_t>(n_checks), 0);
-    out.detector.assign(static_cast<size_t>(n_checks), 0);
-    out.mlr_flag.assign(static_cast<size_t>(n_checks), 0);
+    run_round(lrcs, &out);
+    return out;
+}
+
+void
+LeakageDriver::run_round(const LrcSchedule& lrcs, RoundResult* out)
+{
+    const int n_checks = code_->n_checks();
+    out->meas_flip.assign(static_cast<size_t>(n_checks), 0);
+    out->detector.assign(static_cast<size_t>(n_checks), 0);
+    out->mlr_flag.assign(static_cast<size_t>(n_checks), 0);
 
     // 1. Scheduled LRC gadgets (decided by the policy last round).
     for (int q : lrcs.data_qubits)
@@ -261,12 +268,12 @@ LeakageDriver::run_round(const LrcSchedule& lrcs)
                 if (rng_.bernoulli(np_.p))
                     flip ^= 1;
             }
-            out.meas_flip[static_cast<size_t>(op.mslot)] = flip;
+            out->meas_flip[static_cast<size_t>(op.mslot)] = flip;
             // MLR leak flag with symmetric misclassification.
             uint8_t leak_flag = leaked(anc) ? 1 : 0;
             if (rng_.bernoulli(np_.mlr_err()))
                 leak_flag ^= 1;
-            out.mlr_flag[static_cast<size_t>(op.mslot)] = leak_flag;
+            out->mlr_flag[static_cast<size_t>(op.mslot)] = leak_flag;
             break;
           }
         }
@@ -277,16 +284,15 @@ LeakageDriver::run_round(const LrcSchedule& lrcs)
         if (first_round_ && code_->check(c).type == CheckType::kX) {
             // Round-0 X-check outcomes are random projections in a Z-basis
             // memory; they carry no detector information.
-            out.detector[static_cast<size_t>(c)] = 0;
+            out->detector[static_cast<size_t>(c)] = 0;
         } else {
-            out.detector[static_cast<size_t>(c)] =
-                out.meas_flip[static_cast<size_t>(c)] ^
+            out->detector[static_cast<size_t>(c)] =
+                out->meas_flip[static_cast<size_t>(c)] ^
                 prev_meas_[static_cast<size_t>(c)];
         }
     }
-    prev_meas_ = out.meas_flip;
+    prev_meas_ = out->meas_flip;
     first_round_ = false;
-    return out;
 }
 
 std::vector<uint8_t>
@@ -320,15 +326,21 @@ LeakageDriverSim::LeakageDriverSim(const CssCode& code,
 {
 }
 
+void
+LeakageDriverSim::round(const LrcSchedule& lrcs)
+{
+    // One word per check; lane 0 is bit 0, so a 0/1 byte is its word.
+    driver_.run_round(lrcs, &rr_);
+    std::copy(rr_.detector.begin(), rr_.detector.end(), det_.begin());
+    std::copy(rr_.meas_flip.begin(), rr_.meas_flip.end(), meas_.begin());
+    std::copy(rr_.mlr_flag.begin(), rr_.mlr_flag.end(), mlr_.begin());
+}
+
 RoundResult
 LeakageDriverSim::run_round(const LrcSchedule& lrcs)
 {
-    // One word per check; lane 0 is bit 0, so a 0/1 byte is its word.
-    RoundResult rr = driver_.run_round(lrcs);
-    std::copy(rr.detector.begin(), rr.detector.end(), det_.begin());
-    std::copy(rr.meas_flip.begin(), rr.meas_flip.end(), meas_.begin());
-    std::copy(rr.mlr_flag.begin(), rr.mlr_flag.end(), mlr_.begin());
-    return rr;
+    round(lrcs);
+    return rr_;
 }
 
 std::vector<uint8_t>
@@ -363,15 +375,16 @@ void
 LeakageDriverSim::run_round_masks(const LrcMasks& lrcs)
 {
     lrcs.lane_schedule(0, &sched_);
-    run_round(sched_);
+    round(sched_);
 }
 
 void
 LeakageDriverSim::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                   std::vector<RoundResult>* out)
 {
+    round(lane_lrcs.at(0));
     out->resize(1);
-    (*out)[0] = run_round(lane_lrcs.at(0));
+    (*out)[0] = rr_;
 }
 
 const LaneMask*

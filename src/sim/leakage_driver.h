@@ -172,6 +172,8 @@ class LeakageDriver final : public LeakageOracle {
      * executes one noisy syndrome-extraction round over the primitives.
      */
     RoundResult run_round(const LrcSchedule& lrcs);
+    /** run_round into `out`, reusing its storage (no allocation). */
+    void run_round(const LrcSchedule& lrcs, RoundResult* out);
 
     /**
      * Transversal Z-basis readout of all data qubits; leaked qubits read
@@ -281,6 +283,10 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     LeakageDriver driver_;
 
   private:
+    /** Runs one round into rr_ and packs it into the round words. */
+    void round(const LrcSchedule& lrcs);
+
+    RoundResult rr_;  ///< the last round, storage reused across rounds
     // One-lane round words of the last round (one word per check) and
     // of the last final readout (one per data qubit); zero until the
     // first call writes them.

@@ -257,7 +257,8 @@ class BatchSimulator : public Simulator {
      * c*batch_n_words()+w; bit l of word w = lane w*64+l) — the bits
      * run_round_batch unpacks into each lane's RoundResult, read
      * without the per-lane transpose.  Bits of lanes outside the batch
-     * are unspecified; mask them.  Zero before the first round.
+     * are unspecified; mask them.  A freshly constructed backend's
+     * words are zero.
      */
     virtual const LaneMask* detector_words() const = 0;
     virtual const LaneMask* meas_flip_words() const = 0;
