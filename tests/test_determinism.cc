@@ -283,7 +283,7 @@ TEST(Determinism, BatchFrameBitIdenticalToFrameAtEveryBatchWidth)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (int words : {2, 4, 8}) {
+    for (int words : {2, 3, 4, 5, 8}) {
         SCOPED_TRACE(words);
         ExperimentConfig cfg;
         cfg.np = NoiseParams::standard(2e-3, 0.5);

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/registry.h"
 #include "codes/color_code.h"
@@ -638,6 +640,8 @@ struct PolicyEqualityCase {
     const char* code;
     std::string policy;
     int batch_words;
+    const char* noise_name = "";  ///< test-name suffix; "" = standard
+    NoiseParams np = NoiseParams::standard(2e-3, 0.5);  // busy leaks
 };
 
 class EveryPolicyBitEquality
@@ -648,7 +652,7 @@ TEST_P(EveryPolicyBitEquality, BatchFrameMatchesFrame)
     const PolicyEqualityCase& pc = GetParam();
     const auto inst = campaign::make_code(pc.code);
     ExperimentConfig cfg;
-    cfg.np = NoiseParams::standard(2e-3, 0.5);  // busy leak dynamics
+    cfg.np = pc.np;
     cfg.rounds = 5;
     cfg.batch_words = pc.batch_words;
     // Two streams, each one full block plus a partial trailing block
@@ -679,6 +683,26 @@ every_policy_cases()
                 out.push_back({code, policy, k});
         }
     }
+    // Degenerate rates: a rate of 0 or 1 consumes no draw (the
+    // Rng::bernoulli contract), so these send sites through the no-draw
+    // short-circuits — pl never fires, MLR never or always fires, and
+    // only the sampled leaks and their transport move anything at p = 0.
+    const double p = 2e-3;
+    std::vector<std::pair<const char*, NoiseParams>> degenerate(
+        4, {"", NoiseParams::standard(p, 0.5)});
+    degenerate[0].first = "leak_ratio_0";
+    degenerate[0].second.leak_ratio = 0.0;
+    degenerate[1].first = "mlr_ratio_0";
+    degenerate[1].second.mlr_ratio = 0.0;
+    degenerate[2].first = "mlr_ratio_inv_p";
+    degenerate[2].second.mlr_ratio = 1.0 / p;  // mlr_err() == 1 exactly
+    degenerate[3].first = "p_0";
+    degenerate[3].second.p = 0.0;
+    degenerate[3].second.lrc_leak_prob = 0.0;
+    for (const auto& [name, np] : degenerate) {
+        for (int k : {1, 2, 3})
+            out.push_back({"surface:5", "eraser_m", k, name, np});
+    }
     return out;
 }
 
@@ -689,6 +713,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::string name = std::string(tp.param.code) + "_" +
                            tp.param.policy + "_K" +
                            std::to_string(tp.param.batch_words);
+        if (*tp.param.noise_name != '\0')
+            name += std::string("_") + tp.param.noise_name;
         std::replace(name.begin(), name.end(), ':', '_');
         return name;
     });
