@@ -159,6 +159,8 @@ CampaignSpec::validate() const
         throw std::invalid_argument("campaign: rounds " +
                                     std::to_string(rounds) +
                                     " must be at least 1");
+    for (const NoiseParams& np : noise)
+        np.validate();
     for (const std::string& code : codes)
         make_code(code);  // throws on bad family/distance
     for (const std::string& policy : policies)

@@ -114,6 +114,7 @@ noise_from_json(const Json& j)
     np.lrc_gate_factor = j["lrc_gate_factor"].as_double();
     np.lrc_leak_prob = j["lrc_leak_prob"].as_double();
     np.leaked_gate_backaction = j["leaked_gate_backaction"].as_bool();
+    np.validate();
     return np;
 }
 

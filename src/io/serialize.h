@@ -67,6 +67,7 @@ uint64_t u64_from_hex(const std::string& s);
 
 // --- NoiseParams. ---
 Json noise_to_json(const NoiseParams& np);
+/** Refuses out-of-range fields (NoiseParams::validate). */
 NoiseParams noise_from_json(const Json& j);
 
 // --- ExperimentConfig (embeds NoiseParams). ---

@@ -58,6 +58,14 @@ struct NoiseParams {
 
     /** Paper defaults at a given p and lr. */
     static NoiseParams standard(double p = 1e-3, double lr = 0.1);
+
+    /**
+     * Throws std::invalid_argument naming the first bad field: p,
+     * mobility and lrc_leak_prob must lie in [0, 1]; leak_ratio,
+     * mlr_ratio and lrc_gate_factor must not be negative.  NaN fails
+     * both.
+     */
+    void validate() const;
 };
 
 }  // namespace gld

@@ -5,10 +5,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +155,72 @@ TEST(CampaignSpec, ValidationRejectsFewerThanOneRound)
         }
     }
 }
+
+// Hostile noise values: an out-of-range field must be refused, naming
+// the field, both by the spec loader (io::noise_from_json) and by
+// CampaignSpec::validate on a spec built in memory.  One case per field.
+struct NoiseFieldCase {
+    const char* field;
+    double NoiseParams::*member;
+    std::vector<double> bad;
+    std::vector<double> good;  ///< range edges that must still load
+};
+
+class NoiseFieldRange : public ::testing::TestWithParam<NoiseFieldCase> {};
+
+TEST_P(NoiseFieldRange, RefusedByLoaderAndValidate)
+{
+    const NoiseFieldCase& fc = GetParam();
+    for (double v : fc.bad) {
+        SCOPED_TRACE(v);
+        CampaignSpec spec = small_spec("hostile");
+        spec.noise.front().*fc.member = v;
+        // JSON has no NaN, so a NaN only reaches validate.
+        const int paths = std::isfinite(v) ? 2 : 1;
+        for (int path = 0; path < paths; ++path) {
+            try {
+                if (path == 0)
+                    spec.validate();
+                else
+                    CampaignSpec::from_json(
+                        io::Json::parse(spec.to_json().dump()));
+                ADD_FAILURE() << "accepted " << fc.field << " = " << v;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(fc.field),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    for (double v : fc.good) {
+        SCOPED_TRACE(v);
+        CampaignSpec spec = small_spec("edge");
+        spec.noise.front().*fc.member = v;
+        EXPECT_NO_THROW(spec.validate());
+        EXPECT_NO_THROW(CampaignSpec::from_json(
+            io::Json::parse(spec.to_json().dump())));
+    }
+}
+
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    HostileNoise, NoiseFieldRange,
+    ::testing::Values(
+        NoiseFieldCase{"p", &NoiseParams::p, {-0.5, 1.5, kNaN}, {0.0, 1.0}},
+        NoiseFieldCase{"mobility", &NoiseParams::mobility, {7.0, -0.1},
+                       {0.0, 1.0}},
+        NoiseFieldCase{"lrc_leak_prob", &NoiseParams::lrc_leak_prob,
+                       {-1e-3, 1.01}, {0.0, 1.0}},
+        NoiseFieldCase{"leak_ratio", &NoiseParams::leak_ratio, {-0.1},
+                       {0.0, 1e6}},
+        NoiseFieldCase{"mlr_ratio", &NoiseParams::mlr_ratio, {-1.0},
+                       {0.0, 1e6}},
+        NoiseFieldCase{"lrc_gate_factor", &NoiseParams::lrc_gate_factor,
+                       {-3.0}, {0.0, 1e6}}),
+    [](const ::testing::TestParamInfo<NoiseFieldCase>& tp) {
+        return std::string(tp.param.field);
+    });
 
 TEST(CostModel, JobCostUnitsWeighShotsRoundsAndBackend)
 {
