@@ -80,11 +80,11 @@ set_lane_bit(LaneMask* m, int l)
  *
  * Lane l's stream is seeded from an Rng (master.split(shot)) and steps
  * with the identical update rule, so the lane's draw sequence is
- * bit-for-bit the scalar driver's — while `step_all`/`step_masked`
- * advance every lane in one pass the compiler can vectorize.  This is
- * where the batch backend's throughput comes from: the noise draws are
- * ~all of a frame simulator's per-shot cost, and here K*64 of them cost
- * a few wide ops instead of K*64 function calls.
+ * bit-for-bit the scalar driver's.  `step_all`, `step_masked` and
+ * `step_compare_all` advance many lanes in one plain loop.  The bank
+ * exists for exactness, not speed: it is what lets lockstep replay the
+ * frame backend shot for shot, as the batch engine's exact referee.
+ * The sparse sampler (NoiseSampling::kSparse) never touches it.
  *
  * The Bernoulli fast path compares the 53-bit mantissa draw against
  * ceil(p * 2^53): exactly equivalent to Rng::bernoulli's
@@ -166,11 +166,12 @@ class LaneRngBank {
     }
 
     /**
-     * Fused step + Bernoulli compare: advances lanes [0, n), writes the
-     * 0/1 fire flag of lane l to bits[l] (fire iff mantissa draw <
-     * thresh, branchless via the subtraction sign bit) and returns the
-     * OR of all flags — one pass, no draw-word round trip through
-     * memory.  This is the single hottest loop of the batch backend.
+     * Step + Bernoulli compare in one pass: advances lanes [0, n),
+     * writes the 0/1 fire flag of lane l to bits[l] (fire iff mantissa
+     * draw < thresh, branchless via the subtraction sign bit) and
+     * returns the OR of all flags.  This is lockstep's full-width
+     * Bernoulli site; routing those sites through step_masked instead
+     * costs several times more.
      */
     uint64_t step_compare_all(int n, uint64_t thresh,
                               uint64_t* __restrict__ bits)
@@ -191,95 +192,6 @@ class LaneRngBank {
             any |= bits[l];
         }
         return any;
-    }
-
-    /**
-     * Fused DOUBLE site: per lane, draw-and-compare against t1 then t2
-     * in one pass — the state round-trips memory once for two sites.
-     * Per-lane draw order is site1 then site2, exactly the scalar
-     * order; callers repair fired payload lanes via unstep_lane.
-     */
-    void step_compare2(int n, uint64_t t1, uint64_t t2,
-                       uint64_t* __restrict__ b1,
-                       uint64_t* __restrict__ b2, uint64_t* any1,
-                       uint64_t* any2)
-    {
-        uint64_t a1 = 0, a2 = 0;
-        for (int l = 0; l < n; ++l) {
-            uint64_t s0 = s0_[l], s1 = s1_[l], s2 = s2_[l], s3 = s3_[l];
-            const uint64_t r1 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r2 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            s0_[l] = s0;
-            s1_[l] = s1;
-            s2_[l] = s2;
-            s3_[l] = s3;
-            b1[l] = ((r1 >> 11) - t1) >> 63;
-            b2[l] = ((r2 >> 11) - t2) >> 63;
-            a1 |= b1[l];
-            a2 |= b2[l];
-        }
-        *any1 = a1;
-        *any2 = a2;
-    }
-
-    /** Fused TRIPLE site (one memory round trip for three draws). */
-    void step_compare3(int n, uint64_t t1, uint64_t t2, uint64_t t3,
-                       uint64_t* __restrict__ b1,
-                       uint64_t* __restrict__ b2,
-                       uint64_t* __restrict__ b3, uint64_t* any1,
-                       uint64_t* any2, uint64_t* any3)
-    {
-        uint64_t a1 = 0, a2 = 0, a3 = 0;
-        for (int l = 0; l < n; ++l) {
-            uint64_t s0 = s0_[l], s1 = s1_[l], s2 = s2_[l], s3 = s3_[l];
-            const uint64_t r1 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r2 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r3 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            s0_[l] = s0;
-            s1_[l] = s1;
-            s2_[l] = s2;
-            s3_[l] = s3;
-            b1[l] = ((r1 >> 11) - t1) >> 63;
-            b2[l] = ((r2 >> 11) - t2) >> 63;
-            b3[l] = ((r3 >> 11) - t3) >> 63;
-            a1 |= b1[l];
-            a2 |= b2[l];
-            a3 |= b3[l];
-        }
-        *any1 = a1;
-        *any2 = a2;
-        *any3 = a3;
-    }
-
-    /**
-     * Exact inverse of one step of lane l's stream (xoshiro256**'s state
-     * transition is an invertible linear map).  Used to repair a fired
-     * lane after a fused multi-site pass: rewind past the
-     * optimistically-taken later draws, insert the payload draw the
-     * scalar order demands, then redraw the later sites.
-     */
-    void unstep_lane(int l)
-    {
-        // Forward map: a'=a^d^b, b'=b^c^a, c'=c^a^(b<<17),
-        // d'=rotl(d^b,45).  Solve back for (a,b,c,d).
-        const uint64_t A = s0_[l], B = s1_[l], C = s2_[l], D = s3_[l];
-        const uint64_t d1 = rotl(D, 64 - 45);  // rotr 45: d ^ b
-        const uint64_t a = A ^ d1;
-        const uint64_t y = C ^ B;  // = b ^ (b << 17)
-        uint64_t b = y;
-        b = y ^ (b << 17);
-        b = y ^ (b << 17);
-        b = y ^ (b << 17);
-        const uint64_t c = b ^ B ^ a;
-        s0_[l] = a;
-        s1_[l] = b;
-        s2_[l] = c;
-        s3_[l] = d1 ^ b;
     }
 
     /** One lane's next_u64 (the rare, lane-divergent paths). */
@@ -311,39 +223,10 @@ class LaneRngBank {
     /** Bit-identical to Rng::bit on lane l's stream. */
     bool bit_lane(int l) { return (next_lane(l) >> 63) != 0; }
 
-    // Raw SoA state rows, for the batch backend's CPU-dispatched site
-    // kernels (batch_driver.cc) — the AVX-512/AVX2 paths run the same
-    // update rule on these words with compare-to-mask outputs.
-    uint64_t* raw_s0() { return s0_; }
-    uint64_t* raw_s1() { return s1_; }
-    uint64_t* raw_s2() { return s2_; }
-    uint64_t* raw_s3() { return s3_; }
-
   private:
     static uint64_t rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
-    }
-
-    /** The xoshiro256** output function (x*5 rotl 7 *9, as shift-adds). */
-    static uint64_t out_scramble(uint64_t s1)
-    {
-        const uint64_t m5 = s1 + (s1 << 2);
-        const uint64_t r7 = rotl(m5, 7);
-        return r7 + (r7 << 3);
-    }
-
-    /** The xoshiro256** state transition on four local words. */
-    static void advance(uint64_t& s0, uint64_t& s1, uint64_t& s2,
-                        uint64_t& s3)
-    {
-        const uint64_t t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = rotl(s3, 45);
     }
 
     uint64_t step_lane(int l)
@@ -477,8 +360,8 @@ class BatchStatePrimitives {
  *    width: lane (w, l) of a K-word batch replays scalar shot w*64+l of
  *    the block draw for draw.
  *  - Control flow is computed per lane into masks; state mutation happens
- *    through word-wide masked primitives (the speedup), but never in a
- *    way the scalar driver could distinguish.
+ *    through word-wide masked primitives, but never in a way the scalar
+ *    driver could distinguish.
  *
  * Any semantic change to the scalar LeakageDriver MUST be mirrored here;
  * the cross-backend gate (frame vs batch_frame Metrics must be
@@ -783,11 +666,6 @@ class BatchLeakageDriver final {
     {
         pack_bits(bits_, n, out);
     }
-
-    /** Fused depolarize1 + leak_maybe (the per-data-qubit noise pair). */
-    template <int WT> void data_noise_pair(int q);
-    /** Fused depolarize2 + leak_maybe x2 (the per-CNOT noise triple). */
-    template <int WT> void cnot_noise_triple(int control, int target);
 
     /** Width-specialized bodies of the two public batch entry points. */
     template <int WT> void run_round_t(const LrcMasks& lrcs);
