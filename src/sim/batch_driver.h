@@ -649,22 +649,20 @@ class BatchLeakageDriver final {
         rate_mlr_.skip_valid = false;
     }
 
-    /** Packs bits[0..n) (each 0 or 1) into out (ceil(n/64) words). */
-    static void pack_bits(const uint64_t* bits, int n, LaneMask* out)
-    {
-        for (int w = 0; w * kBatchLanes < n; ++w) {
-            const int base = w * kBatchLanes;
-            const int lim =
-                n - base < kBatchLanes ? n - base : kBatchLanes;
-            LaneMask m = 0;
-            for (int b = 0; b < lim; ++b)
-                m |= bits[base + b] << b;
-            out[w] = m;
-        }
-    }
+    /**
+     * Packs bits_[0..n) (each 0 or 1) into all n_words() words of out;
+     * the words above lane n are zeroed, so callers may read every word.
+     */
     void pack_bits(int n, LaneMask* out) const
     {
-        pack_bits(bits_, n, out);
+        for (int w = 0; w < words_; ++w) {
+            const int base = w * kBatchLanes;
+            const int lim = n - base < kBatchLanes ? n - base : kBatchLanes;
+            LaneMask m = 0;
+            for (int b = 0; b < lim; ++b)
+                m |= bits_[base + b] << b;
+            out[w] = m;
+        }
     }
 
     /** Width-specialized bodies of the two public batch entry points. */
