@@ -161,7 +161,10 @@ BM_BackendThroughput(benchmark::State& state)
 // (scripts/bench_guard.py) keeps the cap honest, and chosen_batch_words
 // records the K that actually wins.  Sparse sampling sidesteps the bank
 // sweeps entirely (one scalar event stream), which is why its K=8 row
-// barely pays the penalty.
+// barely pays the penalty.  Since lockstep became one portable loop per
+// noise site (the exact referee, not the fast path), its per-lane RNG
+// work dominates at every K and its K rows are flat within run noise,
+// so the K-sweep gate may warn on the lockstep rows.
 BENCHMARK(BM_BackendThroughput)
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 1, 0, 0})
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 8, 0, 0})
