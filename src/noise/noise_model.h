@@ -62,8 +62,8 @@ struct NoiseParams {
     /**
      * Throws std::invalid_argument naming the first bad field: p,
      * mobility and lrc_leak_prob must lie in [0, 1]; leak_ratio,
-     * mlr_ratio and lrc_gate_factor must not be negative.  NaN fails
-     * both.
+     * mlr_ratio and lrc_gate_factor must not be negative.  NaN is
+     * refused in every field.
      */
     void validate() const;
 };
