@@ -982,5 +982,71 @@ TEST(ScalarBackendGolden, MetricsAndTelemetryDigestIsPinned)
     }
 }
 
+// --- Sparse-mode golden digest. ---
+//
+// Sparse sampling draws its own event sequence, which no other engine
+// replays, so no bit-equality gate pins what batch_frame + sparse
+// produces; only the statistical referee and the run-to-run determinism
+// tests see it.  This digest pins it: four policies run on batch_frame
+// with sparse sampling, two streams of one full block plus a 19-shot
+// partial trailing block each, in two modes (leakage sampling with the
+// DLP series, and LER).  Every run's metrics_to_json feeds one FNV-1a
+// hash per (code, K).  The digest also pins the libm `log` behind the
+// sparse geometric skips on whatever host runs it.
+
+uint64_t
+sparse_digest(const char* code, int batch_words)
+{
+    const auto inst = campaign::make_code(code);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const char* policy :
+         {"no_lrc", "eraser_m", "gladiator_m", "gladiator_d_m"}) {
+        for (int mode = 0; mode < 2; ++mode) {
+            ExperimentConfig cfg;
+            cfg.np = NoiseParams::standard(2e-3, 0.5);
+            cfg.rounds = 4;
+            cfg.rng_streams = 2;
+            cfg.threads = 2;
+            cfg.batch_words = batch_words;
+            cfg.backend = SimBackend::kBatchFrame;
+            cfg.noise_sampling = NoiseSampling::kSparse;
+            cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 19);
+            cfg.seed = 0x5BA25E601Dull;
+            cfg.leakage_sampling = mode == 0;
+            cfg.record_dlp_series = mode == 0;
+            cfg.compute_ler = mode == 1;
+            ExperimentRunner runner(inst->ctx, cfg);
+            const Metrics m =
+                runner.run(campaign::make_policy(policy, cfg.np));
+            h = fnv1a(h, io::metrics_to_json(m).dump());
+        }
+    }
+    return h;
+}
+
+TEST(SparseGolden, BatchFrameMetricsDigestIsPinned)
+{
+    struct Pin {
+        const char* code;
+        int batch_words;
+        uint64_t metrics;
+    };
+    const Pin pins[] = {
+        {"surface:5", 1, 0xbc0caccd02f13f09ull},
+        {"surface:5", 2, 0x0a62a0713d59fb17ull},
+        {"surface:7", 1, 0x9efcae81a9b6a2ceull},
+        {"surface:7", 2, 0x2001a54e303f2fdbull},
+        {"color:7", 1, 0xefebad2d486fb251ull},
+        {"color:7", 2, 0x0c3c0a57fc455677ull},
+        {"hgp_hamming", 1, 0xc1ae028942590959ull},
+        {"hgp_hamming", 2, 0x100fe75e25af9916ull},
+    };
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(std::string(pin.code) + " K=" +
+                     std::to_string(pin.batch_words));
+        EXPECT_EQ(sparse_digest(pin.code, pin.batch_words), pin.metrics);
+    }
+}
+
 }  // namespace
 }  // namespace gld
