@@ -188,12 +188,6 @@ BENCHMARK(BM_BackendThroughput)
     // visible in the recorded stage split.
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1, 0, 1})
     ->Args({static_cast<int>(SimBackend::kTableau), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 4, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 1,
-            static_cast<int>(NoiseSampling::kSparse), 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 4, 8, 0, 0})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -98,9 +98,7 @@ EXPECTED = [
     "batch_frame", "batch_frame@w2", "batch_frame@w4", "batch_frame@w8",
     "batch_frame@t8", "batch_frame@w4@t8", "batch_frame@w8@t8",
     "batch_frame@sparse", "batch_frame@w8@sparse", "batch_frame@ler",
-    "tableau", "batch_tableau", "batch_tableau@w4",
-    "batch_tableau@sparse",
-    "batch_tableau@t8", "batch_tableau@w4@t8",
+    "tableau",
 ]
 missing = [l for l in EXPECTED if l not in results]
 if missing:

@@ -121,9 +121,9 @@ CampaignSpec::from_json(const Json& j)
     CampaignSpec spec;
     spec.name = j["name"].as_str();
     spec.seed = io::u64_from_hex(j["seed"].as_str());
-    spec.shots = static_cast<int>(j["shots"].as_int());
-    spec.rounds = static_cast<int>(j["rounds"].as_int());
-    spec.rng_streams = static_cast<int>(j["rng_streams"].as_int());
+    spec.shots = io::int_field(j, "shots");
+    spec.rounds = io::int_field(j, "rounds");
+    spec.rng_streams = io::int_field(j, "rng_streams");
     spec.leakage_sampling = j["leakage_sampling"].as_bool();
     spec.compute_ler = j["compute_ler"].as_bool();
     spec.record_dlp_series = j["record_dlp_series"].as_bool();
@@ -131,9 +131,8 @@ CampaignSpec::from_json(const Json& j)
     spec.backend = j.has("backend")
                        ? backend_from_name(j["backend"].as_str())
                        : SimBackend::kFrame;  // version-1 specs
-    spec.batch_words = j.has("batch_words")
-                           ? static_cast<int>(j["batch_words"].as_int())
-                           : 1;
+    spec.batch_words =
+        j.has("batch_words") ? io::int_field(j, "batch_words") : 1;
     spec.noise_sampling =
         j.has("noise_sampling")
             ? noise_sampling_from_name(j["noise_sampling"].as_str())
@@ -885,7 +884,7 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
             const Json& jstreams = j["streams"];
             for (size_t i = 0; i < jstreams.size(); ++i) {
                 const Json& entry = jstreams.at(i);
-                const int s = static_cast<int>(entry["stream"].as_int());
+                const int s = io::int_field(entry, "stream");
                 if (s < 0 || s >= total)
                     throw std::runtime_error("merge: " + path +
                                              " contains out-of-range stream " +

@@ -121,7 +121,7 @@ CampaignSpec verify_arm_spec(const CampaignSpec& grid, SimBackend backend,
 /**
  * How `candidate` will be refereed against opt.reference: bit-exact iff
  * they share an RNG contract — under the grid's noise sampling mode,
- * which moves the batch backends to their own contracts at sparse while
+ * which moves batch_frame to its own contract at sparse while
  * the scalar backends keep ignoring the knob (so sparse batch_frame vs
  * frame is a STATISTICAL comparison against a genuine lockstep
  * reference) — AND the candidate arm's config is not deliberately

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace gld {
@@ -183,6 +184,17 @@ Json::items() const
     if (type_ != Type::kObject)
         type_error("object", type_);
     return obj_;
+}
+
+int
+int_field(const Json& j, const std::string& key)
+{
+    const int64_t v = j[key].as_int();
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        throw std::runtime_error("json: \"" + key + "\" " +
+                                 std::to_string(v) + " does not fit in int");
+    return static_cast<int>(v);
 }
 
 // --- Writer. ---

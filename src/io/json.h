@@ -85,6 +85,13 @@ class Json {
     std::vector<std::pair<std::string, Json>> obj_;
 };
 
+/**
+ * j[key] as an int: an integer outside int's range is refused with
+ * std::runtime_error naming the key, never narrowed (2^32 + 5 would
+ * otherwise load as 5).
+ */
+int int_field(const Json& j, const std::string& key);
+
 /** Reads a whole file; throws std::runtime_error if unreadable. */
 std::string read_file(const std::string& path);
 

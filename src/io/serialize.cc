@@ -140,7 +140,7 @@ config_to_json(const ExperimentConfig& cfg)
     // stays byte-identical (no version bump needed: absence == 1).
     if (cfg.batch_words != 1)
         j.set("batch_words", Json::integer(cfg.batch_words));
-    // noise_sampling is RESULT-AFFECTING on the batch backends (sparse
+    // noise_sampling is RESULT-AFFECTING on batch_frame (sparse
     // draws a different, verify-qualified sequence) so it must be hashed
     // — but only when != lockstep, keeping every existing document and
     // config hash byte-identical (absence == lockstep, no version bump).
@@ -158,21 +158,19 @@ config_from_json(const Json& j)
     check_version(j, "ExperimentConfig");
     ExperimentConfig cfg;
     cfg.np = noise_from_json(j["noise"]);
-    cfg.rounds = static_cast<int>(j["rounds"].as_int());
-    cfg.shots = static_cast<int>(j["shots"].as_int());
+    cfg.rounds = int_field(j, "rounds");
+    cfg.shots = int_field(j, "shots");
     cfg.seed = u64_from_hex(j["seed"].as_str());
     cfg.leakage_sampling = j["leakage_sampling"].as_bool();
     cfg.compute_ler = j["compute_ler"].as_bool();
     cfg.record_dlp_series = j["record_dlp_series"].as_bool();
-    cfg.rng_streams = static_cast<int>(j["rng_streams"].as_int());
+    cfg.rng_streams = int_field(j, "rng_streams");
     // Version-1 documents predate backends: migrate to "frame" (what
     // they were produced by).  Their config hash differs regardless, so
     // old CHECKPOINTS are refused rather than resumed.
     cfg.backend = j.has("backend") ? backend_from_name(j["backend"].as_str())
                                    : SimBackend::kFrame;
-    cfg.batch_words = j.has("batch_words")
-                          ? static_cast<int>(j["batch_words"].as_int())
-                          : 1;
+    cfg.batch_words = j.has("batch_words") ? int_field(j, "batch_words") : 1;
     cfg.noise_sampling =
         j.has("noise_sampling")
             ? noise_sampling_from_name(j["noise_sampling"].as_str())

@@ -59,11 +59,11 @@ struct ExperimentConfig {
      */
     int batch_words = 1;
     /**
-     * The batch backends' Bernoulli draw contract (sim/simulator.h):
+     * batch_frame's Bernoulli draw contract (sim/simulator.h):
      * kLockstep advances every lane's stream at every noise site (the
      * scalar-aligned default), kSparse draws geometric event skips from
      * one per-(stream, block) stream and touches only firing lanes.
-     * RESULT-AFFECTING on the batch backends — sparse draws a different
+     * RESULT-AFFECTING on batch_frame — sparse draws a different
      * (statistically equivalent, verify-qualified) sequence — so it is
      * serialized and config-hashed when != kLockstep; the default
      * reproduces every existing config hash byte for byte.  The scalar
@@ -151,7 +151,7 @@ class ExperimentRunner {
      * result is independent of which thread runs which unit, but
      * changing the block size (like changing rng_streams or batch_words)
      * changes the draws.  Aligned with the bit-packed batch width
-     * (sim/batch_driver.h): a packed batch backend runs a whole block
+     * (sim/batch_driver.h): the packed batch backend runs a whole block
      * as one lockstep batch, a partial final block as a batch with the
      * trailing lanes masked off; a scalar backend runs it one lane at a
      * time.

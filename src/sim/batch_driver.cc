@@ -53,30 +53,33 @@ transpose8x8_bytes(uint64_t t[8])
 // reference implementation) statement for statement: the scalar control
 // flow runs per lane, draws come from that lane's stream in the scalar
 // within-shot order, and only the state mutation and the draw mechanics
-// are batched — word-wide masked primitives, and one LaneRngBank loop
+// are batched — word-wide masked frame ops, and one LaneRngBank loop
 // per Bernoulli site instead of per-lane Rng calls.
 // When editing, keep the two files side by side — the tier-1
 // frame/batch_frame bit-equality gate (at every batch width) fails on
 // any divergence.
 
-BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
-                                       const RoundCircuit& rc,
-                                       const NoiseParams& np, Rng master,
-                                       BatchStatePrimitives* state,
-                                       int batch_words,
-                                       NoiseSampling noise_sampling)
+BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
+                             const NoiseParams& np, uint64_t seed,
+                             int batch_words, NoiseSampling noise_sampling)
+    // Same master stream as LeakFrameSim(seed): under lockstep sampling
+    // lane l of batch b is bit-identical to the scalar frame backend's
+    // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
+    // its event stream from the same master but draws a different
+    // sequence (its own RNG contract; qualified statistically).
     : code_(&code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
-      rate_mlr_(np.mlr_err()), master_rng_(master), words_(batch_words),
-      sparse_(noise_sampling == NoiseSampling::kSparse), state_(state)
+      rate_mlr_(np.mlr_err()), master_rng_(seed), words_(batch_words),
+      sparse_(noise_sampling == NoiseSampling::kSparse)
 {
     if (batch_words < 1 || batch_words > kMaxBatchWords)
         throw std::invalid_argument(
-            "BatchLeakageDriver: batch_words " +
-            std::to_string(batch_words) + " outside [1, " +
-            std::to_string(kMaxBatchWords) + "]");
+            "BatchFrameSim: batch_words " + std::to_string(batch_words) +
+            " outside [1, " + std::to_string(kMaxBatchWords) + "]");
     const size_t W = static_cast<size_t>(words_);
     const size_t nq = static_cast<size_t>(code.n_qubits());
     const size_t nc = static_cast<size_t>(code.n_checks());
+    fx_.assign(nq * W, 0);
+    fz_.assign(nq * W, 0);
     leaked_.assign(nq * W, 0);
     prev_meas_.assign(nc * W, 0);
     meas_flip_.assign(nc * W, 0);
@@ -111,13 +114,15 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
 }
 
 void
-BatchLeakageDriver::reset_shot_batch(int n_lanes)
+BatchFrameSim::reset_shot_batch(int n_lanes)
 {
     const int max_lanes = words_ * kBatchLanes;
     if (n_lanes < 1 || n_lanes > max_lanes)
         throw std::invalid_argument(
             "reset_shot_batch: n_lanes " + std::to_string(n_lanes) +
             " outside [1, " + std::to_string(max_lanes) + "]");
+    std::fill(fx_.begin(), fx_.end(), 0);
+    std::fill(fz_.begin(), fz_.end(), 0);
     std::fill(leaked_.begin(), leaked_.end(), 0);
     std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
     first_round_ = true;
@@ -149,19 +154,20 @@ BatchLeakageDriver::reset_shot_batch(int n_lanes)
                 master_rng_.split(shots_started_ + static_cast<uint64_t>(l)));
     }
     shots_started_ += static_cast<uint64_t>(n_lanes);
-    state_->reset_state();
 }
 
 void
-BatchLeakageDriver::reset_for_block(Rng master)
+BatchFrameSim::reset_for_block(uint64_t seed)
 {
     // Mirror of the constructor's tail under the new master — all lanes
     // seeded with split(0), lane 0 active, shot counter 0 — plus
     // explicit scrubbing of everything a previous block may have left:
-    // flags, history, the per-check scratch spans (a fresh driver's are
-    // zero-initialized), and the backend state.
-    master_rng_ = master;
+    // frames, flags, history and the per-check scratch spans (a fresh
+    // engine's are zero-initialized).
+    master_rng_ = Rng(seed);
     shots_started_ = 0;
+    std::fill(fx_.begin(), fx_.end(), 0);
+    std::fill(fz_.begin(), fz_.end(), 0);
     std::fill(leaked_.begin(), leaked_.end(), 0);
     std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
     std::fill(meas_flip_.begin(), meas_flip_.end(), 0);
@@ -180,78 +186,101 @@ BatchLeakageDriver::reset_for_block(Rng master)
         active_[w] = 0;
     active_[0] = 1;
     n_lanes_ = 1;
-    state_->reset_state();
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::set_leak_t(int q, const LaneMask* lanes)
+BatchFrameSim::set_leak(int q, const LaneMask* lanes)
 {
     const int W = WT > 0 ? WT : words_;
-    LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                            static_cast<size_t>(words_)];
-    LaneMask rise[kMaxBatchWords];
-    LaneMask any = 0;
-    for (int w = 0; w < W; ++w) {
-        rise[w] = lanes[w] & ~lw[w];
-        any |= rise[w];
-    }
-    if (any == 0)
-        return;
+    LaneMask* lw = &leaked_[span(q)];
     for (int w = 0; w < W; ++w)
-        lw[w] |= rise[w];
-    state_->park_leaked(q, rise);
+        lw[w] |= lanes[w];
 }
 
-void
-BatchLeakageDriver::set_leak(int q, const LaneMask* lanes)
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchFrameSim::apply_pauli(int q, const LaneMask* xs, const LaneMask* zs)
 {
-    set_leak_t<0>(q, lanes);
+    const int W = WT > 0 ? WT : words_;
+    const size_t base = span(q);
+    for (int w = 0; w < W; ++w) {
+        fx_[base + static_cast<size_t>(w)] ^= xs[w];
+        fz_[base + static_cast<size_t>(w)] ^= zs[w];
+    }
 }
 
-void
-BatchLeakageDriver::set_leak_lane(int q, int lane)
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchFrameSim::coherent_cnot(int control, int target, const LaneMask* lanes)
 {
-    LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                            static_cast<size_t>(words_)];
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
-    if ((lw[wi] & bit) != 0)
-        return;
-    lw[wi] |= bit;
-    LaneMask rise[kMaxBatchWords];
-    lanes_zero(rise, words_);
-    rise[wi] = bit;
-    state_->park_leaked(q, rise);
+    const int W = WT > 0 ? WT : words_;
+    const size_t cb = span(control);
+    const size_t tb = span(target);
+    for (int w = 0; w < W; ++w) {
+        const size_t ws = static_cast<size_t>(w);
+        fx_[tb + ws] ^= fx_[cb + ws] & lanes[w];
+        fz_[cb + ws] ^= fz_[tb + ws] & lanes[w];
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchFrameSim::hadamard(int q, const LaneMask* lanes)
+{
+    const int W = WT > 0 ? WT : words_;
+    const size_t base = span(q);
+    for (int w = 0; w < W; ++w) {
+        const size_t i = base + static_cast<size_t>(w);
+        const LaneMask diff = (fx_[i] ^ fz_[i]) & lanes[w];
+        fx_[i] ^= diff;
+        fz_[i] ^= diff;
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchFrameSim::reset_z(int q, const LaneMask* lanes)
+{
+    const int W = WT > 0 ? WT : words_;
+    const size_t base = span(q);
+    for (int w = 0; w < W; ++w) {
+        fx_[base + static_cast<size_t>(w)] &= ~lanes[w];
+        fz_[base + static_cast<size_t>(w)] &= ~lanes[w];
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchFrameSim::measure_z(int q, LaneMask* out) const
+{
+    const int W = WT > 0 ? WT : words_;
+    const size_t base = span(q);
+    for (int w = 0; w < W; ++w)
+        out[w] = fx_[base + static_cast<size_t>(w)];
 }
 
 int
-BatchLeakageDriver::n_data_leaked(int lane) const
+BatchFrameSim::LaneOracle::n_data_leaked() const
 {
-    const size_t W = static_cast<size_t>(words_);
-    const size_t wi = static_cast<size_t>(lane >> 6);
     int n = 0;
-    for (int q = 0; q < code_->n_data(); ++q)
-        n += static_cast<int>(
-            (leaked_[static_cast<size_t>(q) * W + wi] >> (lane & 63)) & 1u);
+    for (int q = 0; q < s_->code_->n_data(); ++q)
+        n += static_cast<int>(lane_bit(s_->leaked(q), lane_));
     return n;
 }
 
 int
-BatchLeakageDriver::n_check_leaked(int lane) const
+BatchFrameSim::LaneOracle::n_check_leaked() const
 {
-    const size_t W = static_cast<size_t>(words_);
-    const size_t wi = static_cast<size_t>(lane >> 6);
     int n = 0;
-    for (int c = 0; c < code_->n_checks(); ++c) {
-        const size_t anc = static_cast<size_t>(code_->ancilla_of(c));
-        n += static_cast<int>((leaked_[anc * W + wi] >> (lane & 63)) & 1u);
-    }
+    for (int c = 0; c < s_->code_->n_checks(); ++c)
+        n += static_cast<int>(
+            lane_bit(s_->leaked(s_->code_->ancilla_of(c)), lane_));
     return n;
 }
 
 uint64_t
-BatchLeakageDriver::sparse_geometric(const LaneRate& rate)
+BatchFrameSim::sparse_geometric(const LaneRate& rate)
 {
     // u in (2^-53, 1]: the +1 keeps log() finite and makes skip == 0
     // (an immediate event) land exactly on probability p.  floor(log(u)
@@ -269,7 +298,7 @@ BatchLeakageDriver::sparse_geometric(const LaneRate& rate)
 }
 
 int
-BatchLeakageDriver::kth_set_lane(const LaneMask* mask, int n_words,
+BatchFrameSim::kth_set_lane(const LaneMask* mask, int n_words,
                                  uint64_t k)
 {
     for (int w = 0; w < n_words; ++w) {
@@ -288,7 +317,7 @@ BatchLeakageDriver::kth_set_lane(const LaneMask* mask, int n_words,
 
 template <int WT>
 inline LaneMask
-BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
+BatchFrameSim::sparse_bernoulli_mask(LaneRate& rate,
                                           const LaneMask* mask,
                                           LaneMask* out)
 {
@@ -337,7 +366,7 @@ BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
 
 template <int WT>
 __attribute__((always_inline)) inline LaneMask
-BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
+BatchFrameSim::bernoulli_mask(LaneRate& rate,
                                    const LaneMask* mask, LaneMask* out)
 {
     if (sparse_)
@@ -401,7 +430,7 @@ BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::depolarize1(int q)
+BatchFrameSim::depolarize1(int q)
 {
     const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
@@ -415,12 +444,12 @@ BatchLeakageDriver::depolarize1(int q)
         xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
         zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
     });
-    state_->apply_pauli(q, xs, zs);
+    apply_pauli<WT>(q, xs, zs);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::depolarize2(int q0, int q1)
+BatchFrameSim::depolarize2(int q0, int q1)
 {
     const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
@@ -440,23 +469,23 @@ BatchLeakageDriver::depolarize2(int q0, int q1)
         z1[l >> 6] |= static_cast<LaneMask>((pauli >> 3) & 1u) << (l & 63);
     });
     if (lanes_any(x0, W) | lanes_any(z0, W))
-        state_->apply_pauli(q0, x0, z0);
+        apply_pauli<WT>(q0, x0, z0);
     if (lanes_any(x1, W) | lanes_any(z1, W))
-        state_->apply_pauli(q1, x1, z1);
+        apply_pauli<WT>(q1, x1, z1);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::leak_maybe(int q)
+BatchFrameSim::leak_maybe(int q)
 {
     LaneMask leak[kMaxBatchWords];
     if (bernoulli_mask<WT>(rate_pl_, active_, leak) != 0)
-        set_leak_t<WT>(q, leak);
+        set_leak<WT>(q, leak);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::cnot(int control, int target)
+BatchFrameSim::cnot(int control, int target)
 {
     const int W = WT > 0 ? WT : words_;
     const LaneMask* cl = leaked(control);
@@ -473,7 +502,7 @@ BatchLeakageDriver::cnot(int control, int target)
         any_branch |= branch[w];
     }
     if (any_clean != 0)
-        state_->coherent_cnot(control, target, clean);
+        coherent_cnot<WT>(control, target, clean);
 
     if (any_branch != 0) {
         // The malfunction shape is lane-independent — whether the
@@ -525,12 +554,12 @@ BatchLeakageDriver::cnot(int control, int target)
             }
         });
         if (lanes_any(xs_t, W) | lanes_any(zs_t, W))
-            state_->apply_pauli(target, xs_t, zs_t);
+            apply_pauli<WT>(target, xs_t, zs_t);
         if (lanes_any(xs_c, W) | lanes_any(zs_c, W))
-            state_->apply_pauli(control, xs_c, zs_c);
+            apply_pauli<WT>(control, xs_c, zs_c);
         if (lanes_any(transport, W) != 0) {
-            set_leak_t<WT>(target, transport);
-            clear_leak(control, transport);
+            set_leak<WT>(target, transport);
+            clear_leak_span(control, transport);
         }
     }
 
@@ -540,18 +569,12 @@ BatchLeakageDriver::cnot(int control, int target)
 }
 
 inline void
-BatchLeakageDriver::apply_lrc_data(int q, int lane)
+BatchFrameSim::apply_lrc_data(int q, int lane)
 {
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
-    const size_t W = static_cast<size_t>(words_);
     const int pc = lrc_partner_[static_cast<size_t>(q)];
     if (pc >= 0) {
         const int anc = code_->ancilla_of(pc);
-        const bool anc_was_leaked =
-            (leaked_[static_cast<size_t>(anc) * W +
-                     static_cast<size_t>(wi)] &
-             bit) != 0;
+        const bool anc_was_leaked = lane_bit(leaked(anc), lane);
         clear_leak_lane(q, lane);
         clear_leak_lane(anc, lane);
         if (anc_was_leaked)
@@ -561,34 +584,29 @@ BatchLeakageDriver::apply_lrc_data(int q, int lane)
     }
     if (payload_bernoulli(lane, np_.lrc_depol())) {
         const uint32_t pauli = 1 + payload_uniform_int(lane, 3);
-        LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-        lanes_zero(xs, words_);
-        lanes_zero(zs, words_);
-        xs[wi] = (pauli & 1u) != 0 ? bit : 0;
-        zs[wi] = (pauli & 2u) != 0 ? bit : 0;
-        state_->apply_pauli(q, xs, zs);
+        const size_t i = span(q) + static_cast<size_t>(lane >> 6);
+        fx_[i] ^= static_cast<LaneMask>(pauli & 1u) << (lane & 63);
+        fz_[i] ^= static_cast<LaneMask>((pauli >> 1) & 1u) << (lane & 63);
     }
     if (payload_bernoulli(lane, np_.lrc_leak()))
         set_leak_lane(q, lane);
 }
 
 inline void
-BatchLeakageDriver::apply_lrc_check(int c, int lane)
+BatchFrameSim::apply_lrc_check(int c, int lane)
 {
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
     const int anc = code_->ancilla_of(c);
     clear_leak_lane(anc, lane);
-    LaneMask one[kMaxBatchWords];
-    lanes_zero(one, words_);
-    one[wi] = bit;
-    state_->reset_z(anc, one);
+    // Noiseless |0> reset of the serviced lane's ancilla frame.
+    const size_t i = span(anc) + static_cast<size_t>(lane >> 6);
+    fx_[i] &= ~(1ull << (lane & 63));
+    fz_[i] &= ~(1ull << (lane & 63));
     if (payload_bernoulli(lane, np_.lrc_leak()))
         set_leak_lane(anc, lane);
 }
 
 void
-BatchLeakageDriver::apply_lrcs(const LrcMasks& lrcs)
+BatchFrameSim::apply_lrcs(const LrcMasks& lrcs)
 {
     const int n_data = code_->n_data();
     const size_t W = static_cast<size_t>(words_);
@@ -641,7 +659,7 @@ BatchLeakageDriver::apply_lrcs(const LrcMasks& lrcs)
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
+BatchFrameSim::run_round_t(const LrcMasks& lrcs)
 {
     const int n_checks = code_->n_checks();
     const int W = WT > 0 ? WT : words_;
@@ -670,12 +688,12 @@ BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
                 any_ok |= ok[w];
             }
             if (any_ok != 0) {
-                state_->reset_z(op.q0, ok);
+                reset_z<WT>(op.q0, ok);
                 LaneMask flip[kMaxBatchWords];
                 if (bernoulli_mask<WT>(rate_p_, ok, flip) != 0) {
                     LaneMask none[kMaxBatchWords];
                     lanes_zero(none, W);
-                    state_->apply_pauli(op.q0, flip, none);
+                    apply_pauli<WT>(op.q0, flip, none);
                 }
             }
             break;
@@ -689,7 +707,7 @@ BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
                 any_ok |= ok[w];
             }
             if (any_ok != 0)
-                state_->hadamard(op.q0, ok);
+                hadamard<WT>(op.q0, ok);
             depolarize1<WT>(op.q0);
             break;
           }
@@ -713,7 +731,7 @@ BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
             // one full-width step serves the whole site.  (At p <= 0 or
             // p >= 1 the clean lanes must NOT draw, like Rng::bernoulli.)
             LaneMask measured[kMaxBatchWords];
-            state_->measure_z(anc, measured);
+            measure_z<WT>(anc, measured);
             LaneMask* flip =
                 &meas_flip_[static_cast<size_t>(op.mslot) * Ws];
             LaneMask* mlrw =
@@ -804,7 +822,7 @@ BatchLeakageDriver::run_round_t(const LrcMasks& lrcs)
 }
 
 void
-BatchLeakageDriver::unpack_round(std::vector<RoundResult>* out) const
+BatchFrameSim::unpack_round(std::vector<RoundResult>* out) const
 {
     const int n_checks = code_->n_checks();
     const size_t Ws = static_cast<size_t>(words_);
@@ -861,7 +879,7 @@ BatchLeakageDriver::unpack_round(std::vector<RoundResult>* out) const
 // body: the W loops unroll away, and at the common W=1 every span op
 // degenerates to single-word straight-line code.
 void
-BatchLeakageDriver::run_round_masks(const LrcMasks& lrcs)
+BatchFrameSim::run_round_masks(const LrcMasks& lrcs)
 {
     switch (words_) {
       case 1: run_round_t<1>(lrcs); break;
@@ -873,7 +891,7 @@ BatchLeakageDriver::run_round_masks(const LrcMasks& lrcs)
 }
 
 void
-BatchLeakageDriver::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+BatchFrameSim::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                     std::vector<RoundResult>* out)
 {
     if (lane_lrcs.size() < static_cast<size_t>(n_lanes_))
@@ -889,7 +907,7 @@ BatchLeakageDriver::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::final_measure_t()
+BatchFrameSim::final_measure_t()
 {
     const int W = WT > 0 ? WT : words_;
     for (int q = 0; q < code_->n_data(); ++q) {
@@ -900,7 +918,7 @@ BatchLeakageDriver::final_measure_t()
             ok[w] = active_[w] & ~lk[w];
         }
         LaneMask measured[kMaxBatchWords];
-        state_->measure_z(q, measured);
+        measure_z<WT>(q, measured);
         LaneMask* flip =
             &final_flip_[static_cast<size_t>(q) * static_cast<size_t>(W)];
         if (sparse_) {
@@ -945,7 +963,7 @@ BatchLeakageDriver::final_measure_t()
 }
 
 const LaneMask*
-BatchLeakageDriver::final_data_measure_words()
+BatchFrameSim::final_data_measure_words()
 {
     switch (words_) {
       case 1: final_measure_t<1>(); break;
@@ -957,39 +975,25 @@ BatchLeakageDriver::final_data_measure_words()
     return final_flip_.data();
 }
 
-void
-BatchLeakageDriver::final_data_measure_batch(
-    std::vector<std::vector<uint8_t>>* out)
-{
-    const LaneMask* flips = final_data_measure_words();
-    const int n_data = code_->n_data();
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l) {
-        std::vector<uint8_t>& v = (*out)[static_cast<size_t>(l)];
-        v.resize(static_cast<size_t>(n_data));
-        for (int q = 0; q < n_data; ++q)
-            v[static_cast<size_t>(q)] = static_cast<uint8_t>(lane_bit(
-                &flips[static_cast<size_t>(q) *
-                       static_cast<size_t>(words_)],
-                l));
-    }
-}
-
-// --- BatchLeakageDriverSim scalar adapters. ---
+// --- Scalar adapters: lane 0 of a one-lane batch. ---
 
 RoundResult
-BatchLeakageDriverSim::run_round(const LrcSchedule& lrcs)
+BatchFrameSim::run_round(const LrcSchedule& lrcs)
 {
     one_lrcs_[0] = lrcs;
-    driver_.run_round_batch(one_lrcs_, &one_round_);
+    run_round_batch(one_lrcs_, &one_round_);
     return one_round_[0];
 }
 
 std::vector<uint8_t>
-BatchLeakageDriverSim::final_data_measure()
+BatchFrameSim::final_data_measure()
 {
-    driver_.final_data_measure_batch(&one_flips_);
-    return one_flips_[0];
+    const LaneMask* flips = final_data_measure_words();
+    std::vector<uint8_t> out(static_cast<size_t>(code_->n_data()));
+    for (int q = 0; q < code_->n_data(); ++q)
+        out[static_cast<size_t>(q)] =
+            static_cast<uint8_t>(flips[span(q)] & 1u);
+    return out;
 }
 
 }  // namespace gld

@@ -2,12 +2,12 @@
 #define GLD_SIM_BATCH_DRIVER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/round_circuit.h"
 #include "codes/css_code.h"
 #include "noise/noise_model.h"
-#include "sim/leakage_driver.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -285,74 +285,25 @@ struct LaneRate {
 };
 
 /**
- * The word-wide quantum-state interface a batch backend provides to the
- * BatchLeakageDriver: every primitive of StatePrimitives, widened to act
- * on up to batch_words*64 independent shots at once, selected by a
- * K-word lane span.
+ * The batch Pauli-frame backend (`batch_frame`): the classical leakage
+ * semantics of the shared LeakageDriver (sim/leakage_driver.{h,cc} is
+ * the reference implementation), executed for up to batch_words*64
+ * shots in lockstep over bit-packed Pauli frames, one K-word X/Z span
+ * per qubit.
  *
- * Lane/mask contract:
- *  - Every mask argument and every output is a span of the driver's
- *    n_words() LaneMask words (the width fixed at construction).  Bit l
- *    of word w belongs to lane (shot) w*64+l.  Lanes are independent
- *    shots: a masked op must not couple lanes, and bits outside the mask
- *    must be left untouched.
- *  - Masked ops may receive a mask with no bits set only via apply_pauli
- *    component words (xs or zs may be zero); callers skip fully-empty
- *    calls but are not required to.
- *  - measure_z fills all n_words() words; the driver masks out the lanes
- *    it does not want (leaked lanes' bits are discarded).  An exact
- *    batch backend may collapse all lanes here — discarded lanes'
- *    outcomes are never observed, so this is safe (batch_tableau does
- *    exactly this).
- *  - No primitive may touch the driver's RNG (same determinism contract
- *    as the scalar StatePrimitives).
- */
-class BatchStatePrimitives {
-  public:
-    virtual ~BatchStatePrimitives() = default;
-
-    /** Re-initializes all lanes to |0...0> for a new shot batch. */
-    virtual void reset_state() = 0;
-
-    /**
-     * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
-     * `zs` (both bits set in a lane = Y, as in the scalar encoding).
-     */
-    virtual void apply_pauli(int q, const LaneMask* xs,
-                             const LaneMask* zs) = 0;
-
-    /** The coherent CNOT action in the lanes of `lanes`. */
-    virtual void coherent_cnot(int control, int target,
-                               const LaneMask* lanes) = 0;
-
-    /** The coherent Hadamard action in the lanes of `lanes`. */
-    virtual void hadamard(int q, const LaneMask* lanes) = 0;
-
-    /** Noiseless |0> reset of qubit q in the lanes of `lanes`. */
-    virtual void reset_z(int q, const LaneMask* lanes) = 0;
-
-    /**
-     * Z-basis readout of qubit q into `out` (n_words() words): bit l of
-     * word w is lane w*64+l's outcome flip vs the noiseless reference.
-     * Lanes the caller knows to be leaked are masked off by the driver
-     * after the fact.
-     */
-    virtual void measure_z(int q, LaneMask* out) = 0;
-
-    /** Fired when qubit q's leak flag rises 0 -> 1 in the lanes given. */
-    virtual void park_leaked(int q, const LaneMask* lanes) = 0;
-};
-
-/**
- * The batch execution path of the shared LeakageDriver: the SAME classical
- * leakage semantics (sim/leakage_driver.{h,cc} is the reference
- * implementation), executed for up to batch_words*64 shots in lockstep
- * over a BatchStatePrimitives provider.
+ * Frame state: each gate, reset and readout is a K-word strip of
+ * AND/XOR operations over the lanes of a mask span (bit l of word w is
+ * lane w*64+l; lanes are independent shots, so no op couples lanes and
+ * bits outside the mask are left untouched).  The frame semantics match
+ * LeakFrameSim lane for lane: a readout reads the X-frame word without
+ * disturbing it, a leaked lane's frame freezes because no coherent gate
+ * is routed at it, and an LRC preserves the serviced lane's frame.  No
+ * frame op draws randomness.
  *
- * Determinism contract — the reason this driver can exist at all:
+ * Determinism contract — the reason this engine can exist at all:
  *  - Lane l owns an independent noise stream, master.split(shot_base + l),
  *    exactly the stream the SCALAR driver uses for its (shot_base + l)-th
- *    shot.  At every decision site the driver walks the active lanes in
+ *    shot.  At every decision site the engine walks the active lanes in
  *    ascending order and draws per lane from that lane's stream, in the
  *    same within-shot order as the scalar driver — so each lane's draw
  *    sequence is bit-identical to the scalar backend's corresponding
@@ -360,20 +311,24 @@ class BatchStatePrimitives {
  *    width: lane (w, l) of a K-word batch replays scalar shot w*64+l of
  *    the block draw for draw.
  *  - Control flow is computed per lane into masks; state mutation happens
- *    through word-wide masked primitives, but never in a way the scalar
+ *    through word-wide masked frame ops, but never in a way the scalar
  *    driver could distinguish.
  *
  * Any semantic change to the scalar LeakageDriver MUST be mirrored here;
  * the cross-backend gate (frame vs batch_frame Metrics must be
  * bit-identical at every K, tier-1) is what catches a fork.
+ *
+ * The scalar Simulator calls run one lane wide (lane 0 of a one-lane
+ * batch), so the same object serves the interface tests and the runner's
+ * block loop.
  */
-class BatchLeakageDriver final {
+class BatchFrameSim final : public BatchSimulator {
   public:
     /**
-     * @param master the shot-master stream; lane l of batch b draws from
-     *        master.split(sum of earlier batch widths + l).  Pass the
-     *        SAME master the scalar backend would construct from the seed
-     *        and the lane streams line up shot for shot.
+     * The shot-master stream is Rng(seed), the same master LeakFrameSim
+     * draws from: lane l of batch b draws from master.split(sum of
+     * earlier batch widths + l), so under lockstep sampling the lanes
+     * line up with the scalar frame backend's shots one for one.
      * @param batch_words words per lane span (1 <= K <= kMaxBatchWords);
      *        one batch holds up to batch_words*64 shots.
      * @param noise_sampling lockstep (per-lane streams, the scalar-aligned
@@ -381,197 +336,186 @@ class BatchLeakageDriver final {
      *        geometric skips over the (site x lane) position space — its
      *        own RNG contract, qualified statistically by verify).
      */
-    BatchLeakageDriver(const CssCode& code, const RoundCircuit& rc,
-                       const NoiseParams& np, Rng master,
-                       BatchStatePrimitives* state, int batch_words,
-                       NoiseSampling noise_sampling =
-                           NoiseSampling::kLockstep);
+    BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
+                  const NoiseParams& np, uint64_t seed, int batch_words = 1,
+                  NoiseSampling noise_sampling = NoiseSampling::kLockstep);
 
-    // Non-copyable for the same reason as LeakageDriver: the driver holds
-    // the backend's primitives pointer.
-    BatchLeakageDriver(const BatchLeakageDriver&) = delete;
-    BatchLeakageDriver& operator=(const BatchLeakageDriver&) = delete;
+    // Non-copyable: the lane oracles point back at this object.
+    BatchFrameSim(const BatchFrameSim&) = delete;
+    BatchFrameSim& operator=(const BatchFrameSim&) = delete;
+
+    std::string name() const override { return "batch_frame"; }
+
+    // --- BatchSimulator. ---
+    int batch_width() const override { return words_ * kBatchLanes; }
+    int batch_n_words() const override { return words_; }
 
     /**
      * Starts a new batch of `n_lanes` shots (1 <= n_lanes <=
-     * n_words()*64): clears flags/history/state, actives lanes
+     * batch_width()): clears flags/history/frames, activates lanes
      * [0, n_lanes) and reseeds lane l with master.split(shots_started +
      * l).  Lanes >= n_lanes are padding: masked off everywhere and never
      * drawing — a partial batch's mask boundary may fall mid-span (a
      * full low word, a partial high word, empty words above).
      */
-    void reset_shot_batch(int n_lanes);
+    void reset_shot_batch(int n_lanes) override;
 
     /**
-     * Restores the driver to its just-constructed state under a NEW
-     * master stream: flags/history/scratch cleared, the shot counter
-     * rewound to 0, every lane reseeded with master.split(0) and lane 0
-     * active (the post-construction probing state), and the backend
-     * state re-initialized.  The simulator-reuse path resets a cached
-     * driver per scheduler block with the block's own master, making
-     * reuse bit-identical to fresh construction at every K.
+     * Restores the just-constructed state under the master Rng(seed):
+     * flags/history/scratch/frames cleared, the shot counter rewound to
+     * 0, every lane reseeded with master.split(0) and lane 0 active (the
+     * post-construction probing state).  The runner resets a cached
+     * engine per scheduler block, bit-identical to fresh construction at
+     * every K.
      */
-    void reset_for_block(Rng master);
+    void reset_for_block(uint64_t seed) override;
 
-    /** Words per lane span (the K of this driver). */
-    int n_words() const { return words_; }
-    /** Lanes currently active (padding excluded), n_words() words. */
-    const LaneMask* active() const { return active_; }
-    int n_lanes() const { return n_lanes_; }
-
-    /** Raises the leak flag of qubit q in the `lanes` span. */
-    void set_leak(int q, const LaneMask* lanes);
-    /** Raises check c's ancilla leak flag in the `lanes` span. */
-    void set_check_leak(int c, const LaneMask* lanes)
+    void inject_data_leak_lane(int lane, int q) override
     {
-        set_leak(code_->ancilla_of(c), lanes);
-    }
-    /** Clears qubit q's leak flag in the `lanes` span. */
-    void clear_leak(int q, const LaneMask* lanes)
-    {
-        LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                                static_cast<size_t>(words_)];
-        for (int w = 0; w < words_; ++w)
-            lw[w] &= ~lanes[w];
+        set_leak_lane(q, lane);
     }
 
-    // Per-lane (one-hot) variants of the flag ops, for the scalar
-    // adapters and the per-lane LRC gadgets.
-    void set_leak_lane(int q, int lane);
-    void set_check_leak_lane(int c, int lane)
-    {
-        set_leak_lane(code_->ancilla_of(c), lane);
-    }
-    void clear_leak_lane(int q, int lane)
-    {
-        leaked_[static_cast<size_t>(q) * static_cast<size_t>(words_) +
-                static_cast<size_t>(lane >> 6)] &= ~(1ull << (lane & 63));
-    }
-
-    /** Leak-flag span of qubit q (n_words() words, bit per lane). */
-    const LaneMask* leaked(int q) const
-    {
-        return &leaked_[static_cast<size_t>(q) *
-                        static_cast<size_t>(words_)];
-    }
     /**
      * Leak-flag words of every qubit, data first then ancillas: entry
-     * q*n_words()+w is word w of qubit q's span.
+     * q*batch_n_words()+w is word w of qubit q's span.
      */
-    const LaneMask* leaked_words() const { return leaked_.data(); }
+    const LaneMask* leaked_words() const override { return leaked_.data(); }
+
     /**
      * Round words of the last round, one span per check: entry
-     * c*n_words()+w is word w of check c's span.  Bits of lanes outside
-     * the batch are unspecified.
+     * c*batch_n_words()+w is word w of check c's span.  Bits of lanes
+     * outside the batch are unspecified.
      */
-    const LaneMask* detector_words() const { return det_scratch_.data(); }
-    const LaneMask* meas_flip_words() const { return meas_flip_.data(); }
-    const LaneMask* mlr_flag_words() const { return mlr_flag_.data(); }
-
-    // --- Per-lane ground truth (the runner's accounting view). ---
-    bool data_leaked(int lane, int q) const
+    const LaneMask* detector_words() const override
     {
-        return lane_bit(leaked(q), lane);
+        return det_scratch_.data();
     }
-    bool check_leaked(int lane, int c) const
+    const LaneMask* meas_flip_words() const override
     {
-        return lane_bit(leaked(code_->ancilla_of(c)), lane);
+        return meas_flip_.data();
     }
-    int n_data_leaked(int lane) const;
-    int n_check_leaked(int lane) const;
+    const LaneMask* mlr_flag_words() const override
+    {
+        return mlr_flag_.data();
+    }
 
     /**
-     * A scalar LeakageOracle view of one lane's shot (the scalar
-     * Simulator façade serves lane 0's; the batch runner reads the leak
-     * words instead).
+     * Applies the LRC gadgets of `lrcs` (spans of batch_n_words() words;
+     * bits of inactive lanes are ignored), then executes one noisy
+     * syndrome-extraction round for every active lane in lockstep.  The
+     * gadgets run lane by lane in ascending lane order, each lane's in
+     * the LrcMasks order (ascending data index, then ascending check
+     * index).  The round's outcome is left in the round words; nothing
+     * is unpacked per lane.
      */
+    void run_round_masks(const LrcMasks& lrcs) override;
+
+    /**
+     * The per-lane-schedule form of run_round_masks: packs lane l's
+     * schedule (l < the batch's lane count; lists strictly ascending,
+     * see LrcMasks::add_lane), runs the round and unpacks it into `out`.
+     */
+    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                         std::vector<RoundResult>* out) override;
+
+    /**
+     * Transversal Z-basis readout of all data qubits for every active
+     * lane.  Returns the outcome-flip words, one span per data qubit
+     * (entry q*batch_n_words()+w), valid until the next call.
+     */
+    const LaneMask* final_data_measure_words() override;
+
+    // --- Scalar Simulator API: lane 0 of a one-lane batch. ---
+    void reset_shot() override { reset_shot_batch(1); }
+    void inject_data_leak(int q) override { set_leak_lane(q, 0); }
+    void inject_check_leak(int c) override
+    {
+        set_leak_lane(code_->ancilla_of(c), 0);
+    }
+    void inject_x(int q) override { fx_[span(q)] ^= 1; }
+    void inject_z(int q) override { fz_[span(q)] ^= 1; }
+    void clear_leak(int q) override { clear_leak_lane(q, 0); }
+    const LeakageOracle& leak_oracle() const override
+    {
+        return lane_oracle(0);
+    }
+    RoundResult run_round(const LrcSchedule& lrcs) override;
+    std::vector<uint8_t> final_data_measure() override;
+
+    /** A scalar LeakageOracle view of one lane's shot. */
     const LeakageOracle& lane_oracle(int lane) const
     {
         return lane_oracles_[static_cast<size_t>(lane)];
     }
 
-    /**
-     * Applies the LRC gadgets of `lrcs` (spans of n_words() words; bits
-     * of inactive lanes are ignored), then executes one noisy
-     * syndrome-extraction round for every active lane in lockstep.  The
-     * gadgets run lane by lane in ascending lane order, each lane's in
-     * the LrcMasks order (ascending data index, then ascending check
-     * index).  The round's outcome is left in the round words
-     * (detector_words() and friends); nothing is unpacked per lane.
-     */
-    void run_round_masks(const LrcMasks& lrcs);
-
-    /**
-     * Unpacks the last round's words into n_lanes() per-lane
-     * RoundResults (storage reused across rounds).
-     */
-    void unpack_round(std::vector<RoundResult>* out) const;
-
-    /**
-     * The per-lane-schedule form of run_round_masks: packs lane l's
-     * schedule (l < n_lanes(); lists strictly ascending, see
-     * LrcMasks::add_lane), runs the round and unpacks it into `out`.
-     */
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out);
-
-    /**
-     * Transversal Z-basis readout of all data qubits for every active
-     * lane.  Returns the outcome-flip words, one span per data qubit
-     * (entry q*n_words()+w), valid until the next call.
-     */
-    const LaneMask* final_data_measure_words();
-
-    /**
-     * final_data_measure_words, unpacked: out is resized to n_lanes()
-     * per-lane flip vectors.
-     */
-    void final_data_measure_batch(std::vector<std::vector<uint8_t>>* out);
-
-    /** The LRC partner ancilla (check index) used for data qubit q. */
-    int lrc_partner(int q) const
-    {
-        return lrc_partner_[static_cast<size_t>(q)];
-    }
-
-    const NoiseParams& noise() const { return np_; }
-
-    /** The Bernoulli draw contract this driver runs under. */
-    NoiseSampling sampling() const
-    {
-        return sparse_ ? NoiseSampling::kSparse : NoiseSampling::kLockstep;
-    }
-
   private:
-    /** LeakageOracle adapter for one lane of the batch driver. */
+    /** LeakageOracle adapter for one lane of the batch. */
     class LaneOracle final : public LeakageOracle {
       public:
-        void bind(const BatchLeakageDriver* d, int lane)
+        void bind(const BatchFrameSim* s, int lane)
         {
-            d_ = d;
+            s_ = s;
             lane_ = lane;
         }
         bool data_leaked(int q) const override
         {
-            return d_->data_leaked(lane_, q);
+            return lane_bit(s_->leaked(q), lane_);
         }
         bool check_leaked(int c) const override
         {
-            return d_->check_leaked(lane_, c);
+            return lane_bit(s_->leaked(s_->code_->ancilla_of(c)), lane_);
         }
-        int n_data_leaked() const override
-        {
-            return d_->n_data_leaked(lane_);
-        }
-        int n_check_leaked() const override
-        {
-            return d_->n_check_leaked(lane_);
-        }
+        int n_data_leaked() const override;
+        int n_check_leaked() const override;
 
       private:
-        const BatchLeakageDriver* d_ = nullptr;
+        const BatchFrameSim* s_ = nullptr;
         int lane_ = 0;
     };
+
+    /** Offset of qubit (or check) q's K-word span in a per-qubit array. */
+    size_t span(int q) const
+    {
+        return static_cast<size_t>(q) * static_cast<size_t>(words_);
+    }
+
+    /** Leak-flag span of qubit q (words_ words, bit per lane). */
+    const LaneMask* leaked(int q) const { return &leaked_[span(q)]; }
+
+    // Leak-flag updates: span forms for the round's word-wide sites,
+    // one-hot lane forms for the scalar adapters and the per-lane LRC
+    // gadgets.
+    template <int WT> void set_leak(int q, const LaneMask* lanes);
+    void clear_leak_span(int q, const LaneMask* lanes)
+    {
+        LaneMask* lw = &leaked_[span(q)];
+        for (int w = 0; w < words_; ++w)
+            lw[w] &= ~lanes[w];
+    }
+    void set_leak_lane(int q, int lane)
+    {
+        leaked_[span(q) + static_cast<size_t>(lane >> 6)] |=
+            1ull << (lane & 63);
+    }
+    void clear_leak_lane(int q, int lane)
+    {
+        leaked_[span(q) + static_cast<size_t>(lane >> 6)] &=
+            ~(1ull << (lane & 63));
+    }
+
+    // Pauli-frame ops over the fx_/fz_ spans, in the lanes of a mask.
+    /** X in the lanes of `xs`, Z in those of `zs` (both set = Y). */
+    template <int WT>
+    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs);
+    /** CNOT: X copies control->target, Z copies target->control. */
+    template <int WT>
+    void coherent_cnot(int control, int target, const LaneMask* lanes);
+    /** Hadamard: swaps the X and Z frame bits. */
+    template <int WT> void hadamard(int q, const LaneMask* lanes);
+    /** Noiseless |0> reset: clears both frame bits. */
+    template <int WT> void reset_z(int q, const LaneMask* lanes);
+    /** Z readout flips of every lane: the X-frame words (W words). */
+    template <int WT> void measure_z(int q, LaneMask* out) const;
 
     void apply_lrc_data(int q, int lane);
     void apply_lrc_check(int c, int lane);
@@ -581,13 +525,12 @@ class BatchLeakageDriver final {
     // The hot per-op helpers are templated on the batch width: WT > 0 is
     // a compile-time word count (the W loops unroll away — at the
     // common W=1 every span op is straight-line single-word code), WT ==
-    // 0 reads the runtime words_.  run_round_batch dispatches once per
+    // 0 reads the runtime words_.  run_round_masks dispatches once per
     // round on words_; everything below inlines into that instantiation.
     template <int WT> void depolarize1(int q);
     template <int WT> void depolarize2(int q0, int q1);
     template <int WT> void leak_maybe(int q);
     template <int WT> void cnot(int control, int target);
-    template <int WT> void set_leak_t(int q, const LaneMask* lanes);
 
     /**
      * One word-wide Bernoulli site: every lane of the `mask` span draws
@@ -650,8 +593,8 @@ class BatchLeakageDriver final {
     }
 
     /**
-     * Packs bits_[0..n) (each 0 or 1) into all n_words() words of out;
-     * the words above lane n are zeroed, so callers may read every word.
+     * Packs bits_[0..n) (each 0 or 1) into all words_ words of out; the
+     * words above lane n are zeroed, so callers may read every word.
      */
     void pack_bits(int n, LaneMask* out) const
     {
@@ -665,9 +608,12 @@ class BatchLeakageDriver final {
         }
     }
 
-    /** Width-specialized bodies of the two public batch entry points. */
+    /** Width-specialized bodies of the two batch entry points. */
     template <int WT> void run_round_t(const LrcMasks& lrcs);
     template <int WT> void final_measure_t();
+
+    /** Unpacks the last round's words into per-lane RoundResults. */
+    void unpack_round(std::vector<RoundResult>* out) const;
 
     const CssCode* code_;
     const RoundCircuit* rc_;
@@ -688,6 +634,8 @@ class BatchLeakageDriver final {
     int n_lanes_ = 0;
     bool first_round_ = true;
 
+    std::vector<LaneMask> fx_;         ///< X-frame span per qubit
+    std::vector<LaneMask> fz_;         ///< Z-frame span per qubit
     std::vector<LaneMask> leaked_;     ///< leak-flag span per qubit
     std::vector<LaneMask> prev_meas_;  ///< previous meas_flip per check
     std::vector<LaneMask> meas_flip_;  ///< scratch, span per check
@@ -700,121 +648,10 @@ class BatchLeakageDriver final {
     LrcMasks pack_scratch_;  ///< run_round_batch's packed schedules
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
-    BatchStatePrimitives* state_;
-};
-
-/**
- * Batch analogue of LeakageDriverSim: a backend derives, implements the
- * seven BatchStatePrimitives plus name(), and gets the whole Simulator
- * API — scalar calls run the batch driver one lane wide, so the same
- * object serves interface tests and the lockstep scheduler path.
- */
-class BatchLeakageDriverSim : public BatchSimulator,
-                              protected BatchStatePrimitives {
-  public:
-    int batch_width() const final
-    {
-        return driver_.n_words() * kBatchLanes;
-    }
-    int batch_n_words() const final { return driver_.n_words(); }
-    void reset_shot_batch(int n_lanes) final
-    {
-        driver_.reset_shot_batch(n_lanes);
-    }
-    void inject_data_leak_lane(int lane, int q) final
-    {
-        driver_.set_leak_lane(q, lane);
-    }
-    const LaneMask* leaked_words() const final
-    {
-        return driver_.leaked_words();
-    }
-    const LaneMask* detector_words() const final
-    {
-        return driver_.detector_words();
-    }
-    const LaneMask* meas_flip_words() const final
-    {
-        return driver_.meas_flip_words();
-    }
-    const LaneMask* mlr_flag_words() const final
-    {
-        return driver_.mlr_flag_words();
-    }
-    void run_round_masks(const LrcMasks& lrcs) final
-    {
-        driver_.run_round_masks(lrcs);
-    }
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out) final
-    {
-        driver_.run_round_batch(lane_lrcs, out);
-    }
-    const LaneMask* final_data_measure_words() final
-    {
-        return driver_.final_data_measure_words();
-    }
-
-    /**
-     * Default reuse reset for batch backends whose only randomness is
-     * the driver's lane streams (batch_frame): fresh construction
-     * passes Rng(seed) as the driver master, so resetting the driver
-     * with Rng(seed) reproduces it exactly.  batch_tableau overrides to
-     * also reseed its per-lane projection streams.
-     */
-    void reset_for_block(uint64_t seed) override
-    {
-        driver_.reset_for_block(Rng(seed));
-    }
-
-    // --- Scalar Simulator API: lane 0 of a one-lane batch. ---
-    void reset_shot() final { driver_.reset_shot_batch(1); }
-    void inject_data_leak(int q) final { driver_.set_leak_lane(q, 0); }
-    void inject_check_leak(int c) final
-    {
-        driver_.set_check_leak_lane(c, 0);
-    }
-    void inject_x(int q) final { apply_pauli(q, kLaneZeroOne, kLanesNone); }
-    void inject_z(int q) final { apply_pauli(q, kLanesNone, kLaneZeroOne); }
-    void clear_leak(int q) final { driver_.clear_leak_lane(q, 0); }
-    const LeakageOracle& leak_oracle() const final
-    {
-        return driver_.lane_oracle(0);
-    }
-    RoundResult run_round(const LrcSchedule& lrcs) final;
-    std::vector<uint8_t> final_data_measure() final;
-
-    /** The LRC partner ancilla (check index) used for data qubit q. */
-    int lrc_partner(int q) const { return driver_.lrc_partner(q); }
-
-    /** The shared batch driver (tests: drift gate, semantics probes). */
-    const BatchLeakageDriver& driver() const { return driver_; }
-
-  protected:
-    /** @param master see BatchLeakageDriver — pass the scalar backend's
-     *         master (e.g. Rng(seed)) for shot-for-shot lane alignment.
-     *  @param batch_words the K of this backend's lane spans.
-     *  @param noise_sampling the driver's Bernoulli draw contract. */
-    BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
-                          const NoiseParams& np, Rng master,
-                          int batch_words,
-                          NoiseSampling noise_sampling =
-                              NoiseSampling::kLockstep)
-        : driver_(code, rc, np, master, this, batch_words, noise_sampling)
-    {
-    }
-
-    BatchLeakageDriver driver_;
-
-  private:
-    // Constant spans for the scalar (lane 0) injection adapters.
-    static constexpr LaneMask kLaneZeroOne[kMaxBatchWords] = {1};
-    static constexpr LaneMask kLanesNone[kMaxBatchWords] = {};
 
     // Scratch for the scalar API adapters (reused across rounds).
     std::vector<LrcSchedule> one_lrcs_{1};
     std::vector<RoundResult> one_round_;
-    std::vector<std::vector<uint8_t>> one_flips_;
 };
 
 }  // namespace gld

@@ -220,7 +220,7 @@ class LeakageDriver final : public LeakageOracle {
  *
  * It is also a one-lane BatchSimulator (width 1, K = 1), so the runner
  * drives frame and tableau through the same block loop as the packed
- * batch backends: the leak words are the driver's flag array, the round
+ * batch_frame backend: the leak words are the driver's flag array, the round
  * words are packed from each RoundResult, and run_round_masks unpacks
  * lane 0's schedule.
  */

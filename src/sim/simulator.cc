@@ -4,8 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/batch_frame_sim.h"
-#include "sim/batch_tableau_sim.h"
+#include "sim/batch_driver.h"
 #include "sim/frame_sim.h"
 #include "sim/tableau_leak_sim.h"
 
@@ -24,15 +23,15 @@ namespace {
  * of a batch is scalar shot k draw for draw, at every batch width), so
  * their Metrics are bit-identical by construction and the verify referee
  * compares them bit-exactly.  The tableau engine draws its own
- * measurement-collapse randomness (contract 1); batch_tableau draws
- * per-lane collapse randomness from yet another derivation (contract 2)
- * — each agrees with the others only statistically.
+ * measurement-collapse randomness (contract 1) and agrees with them only
+ * statistically.
  *
  * sparse_rng_contract is the contract id the backend moves to under
- * NoiseSampling::kSparse: the batch engines switch to an event-driven
- * scalar stream per (stream, block) work unit (contracts 3 and 4 — a
- * draw sequence no lockstep engine replays), while the scalar engines
- * ignore the knob and keep their lockstep ids.
+ * NoiseSampling::kSparse: batch_frame switches to an event-driven scalar
+ * stream per (stream, block) work unit (contract 3 — a draw sequence no
+ * lockstep engine replays), while the scalar engines ignore the knob and
+ * keep their lockstep ids.  Contract ids are never reused: ids 2 and 4
+ * belonged to a retired exact batch backend.
  */
 struct BackendEntry {
     SimBackend backend;
@@ -45,7 +44,6 @@ constexpr BackendEntry kBackendTable[] = {
     {SimBackend::kFrame, "frame", 0, 0},
     {SimBackend::kTableau, "tableau", 1, 1},
     {SimBackend::kBatchFrame, "batch_frame", 0, 3},
-    {SimBackend::kBatchTableau, "batch_tableau", 2, 4},
 };
 
 /**
@@ -300,19 +298,10 @@ backend_cost_factor(SimBackend backend, int n_qubits)
         return factor < 1.0 ? 1.0 : factor;
       }
       case SimBackend::kBatchFrame:
-        // 64 shots per word: one lockstep driver pass serves a whole
-        // shot block, so a shot costs ~1/64 of a scalar frame shot (the
-        // per-lane noise draws keep it from being exactly 1/64; the
-        // benchmark BM_BackendThroughput measures the real ratio).
+        // 64 shots per word: one lockstep pass serves a whole shot
+        // block, so a shot costs ~1/64 of a scalar frame shot (the
+        // per-lane noise draws keep it from being exactly 1/64).
         return 1.0 / 64.0;
-      case SimBackend::kBatchTableau: {
-        // Per lane the state cost is the scalar tableau's O(n^2/64); the
-        // batch only amortizes the round's noise machinery, which the
-        // tableau cost dwarfs on all but the smallest codes.
-        const double n = static_cast<double>(n_qubits);
-        const double factor = n * n / 64.0;
-        return factor < 1.0 ? 1.0 : factor;
-      }
     }
     throw_unknown_backend("invalid SimBackend value " +
                           std::to_string(static_cast<int>(backend)));
@@ -357,9 +346,6 @@ make_simulator(SimBackend backend, const CssCode& code,
       case SimBackend::kBatchFrame:
         return std::make_unique<BatchFrameSim>(code, rc, np, seed,
                                                batch_words, noise_sampling);
-      case SimBackend::kBatchTableau:
-        return std::make_unique<BatchTableauSim>(
-            code, rc, np, seed, batch_words, noise_sampling);
     }
     throw_unknown_backend("make_simulator: invalid SimBackend value " +
                           std::to_string(static_cast<int>(backend)));

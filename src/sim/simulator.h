@@ -14,7 +14,7 @@ namespace gld {
 
 /**
  * Upper bound on the batch width multiplier K
- * (ExperimentConfig::batch_words): batch backends pack up to
+ * (ExperimentConfig::batch_words): batch_frame packs up to
  * kMaxBatchWords * 64 shots per scheduler block.  8 words = 512 lanes
  * keeps the lane-RNG bank (4 SoA rows) at 16 KiB — L1-resident.
  */
@@ -217,8 +217,8 @@ class Simulator {
 /**
  * Every backend is a BatchSimulator: the full scalar Simulator API
  * (scalar calls address lane 0) plus the lockstep batch entry points
- * the runner drives a whole shot block through.  The packed batch
- * backends hold batch_words*64 lanes; the scalar frame and tableau
+ * the runner drives a whole shot block through.  The packed batch_frame
+ * backend holds batch_words*64 lanes; the scalar frame and tableau
  * engines are one-lane batches (width 1, K = 1), so the runner has a
  * single block loop for every backend.
  */
@@ -289,21 +289,16 @@ class BatchSimulator : public Simulator {
  * The available backends.  kFrame is the paper's Pauli-frame engine (fast,
  * samples Pauli noise exactly); kTableau drives the exact CHP stabilizer
  * tableau through the same round circuit (slower by O(n^2) per
- * measurement; exact-stabilizer states); kBatchFrame packs K*64 shots
- * (K = batch_words) into K words per qubit and runs them in lockstep
- * through the batch driver — bit-identical Metrics to kFrame at several
- * times the shots/second (BM_BackendThroughput measures the real ratio;
- * the per-lane noise draws both engines must make bound it);
- * kBatchTableau runs K*64 exact CHP tableaux in lockstep behind the same
- * batch driver, amortizing the per-round noise machinery over the batch
- * so exact-mode campaigns batch too.  All share the one LeakageDriver
- * semantics for every classical-leakage decision.
+ * measurement; exact-stabilizer states), the statistical referee of the
+ * frame engines; kBatchFrame packs K*64 shots (K = batch_words) into K
+ * words per qubit and runs them in lockstep — bit-identical Metrics to
+ * kFrame under lockstep sampling.  All share the LeakageDriver semantics
+ * for every classical-leakage decision.
  */
 enum class SimBackend : uint8_t {
     kFrame = 0,
     kTableau = 1,
     kBatchFrame = 2,
-    kBatchTableau = 3,
 };
 
 /** Canonical backend name ("frame" / "tableau" / "batch_frame"). */
@@ -340,7 +335,7 @@ SimBackend backend_from_env();
 int batch_words_from_env();
 
 /**
- * How the batch backends sample their Bernoulli noise sites.
+ * How batch_frame samples its Bernoulli noise sites.
  *
  * kLockstep (the default) is the classic draw contract: every lane of a
  * batch owns a per-lane RNG stream and draws once at EVERY noise site,
@@ -352,10 +347,10 @@ int batch_words_from_env();
  * (site x lane) position space of a round and touches only the lanes
  * that actually fire — quiet sites cost zero RNG work.  The draw
  * sequence legitimately differs from the scalar backends', so sparse
- * batch backends register their own backend_rng_contract values and are
+ * batch_frame registers its own backend_rng_contract value and is
  * qualified STATISTICALLY by `gld_campaign verify` (pooled z-tests),
  * not by bit-diff.  Scalar backends ignore the knob entirely (like
- * batch_words).  RESULT-AFFECTING on batch backends: serialized and
+ * batch_words).  RESULT-AFFECTING on batch_frame: serialized and
  * config-hashed when != kLockstep.
  */
 enum class NoiseSampling : uint8_t {
@@ -396,7 +391,7 @@ int backend_rng_contract(SimBackend backend);
 /**
  * Mode-aware RNG contract: the draw-sequence group of `backend` running
  * under `sampling`.  At kLockstep this is backend_rng_contract(backend);
- * at kSparse the batch backends move to their own contract ids (their
+ * at kSparse batch_frame moves to its own contract id (its
  * event-driven draw sequence matches no lockstep engine), while the
  * scalar backends — which ignore the knob — keep their lockstep ids.
  */
@@ -414,11 +409,11 @@ double backend_cost_factor(SimBackend backend, int n_qubits);
 
 /**
  * Builds a backend over a code's scheduled round circuit.  `batch_words`
- * is the lane-span width K for the batch backends (batch_frame,
- * batch_tableau): one batch holds 64*K shots.  Scalar backends ignore
- * it (they are one-lane batches); out-of-range values throw for every
- * backend.  `noise_sampling` selects the batch backends' Bernoulli draw
- * contract (lockstep or event-driven sparse); scalar backends ignore it.
+ * is batch_frame's lane-span width K: one batch holds 64*K shots.
+ * Scalar backends ignore it (they are one-lane batches); out-of-range
+ * values throw for every backend.  `noise_sampling` selects
+ * batch_frame's Bernoulli draw contract (lockstep or event-driven
+ * sparse); scalar backends ignore it.
  */
 std::unique_ptr<BatchSimulator> make_simulator(
     SimBackend backend, const CssCode& code, const RoundCircuit& rc,

@@ -1,6 +1,7 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -79,15 +80,26 @@ Heatmap::to_json() const
 Heatmap
 Heatmap::from_json(const Json& j)
 {
-    Heatmap h;
-    h.init(static_cast<int>(j["rounds"].as_int()),
-           static_cast<int>(j["n_data"].as_int()),
-           static_cast<int>(j["n_checks"].as_int()));
+    const int rounds = io::int_field(j, "rounds");
+    const int n_data = io::int_field(j, "n_data");
+    const int n_checks = io::int_field(j, "n_checks");
+    if (rounds < 0 || n_data < 0 || n_checks < 0)
+        throw std::runtime_error("Heatmap::from_json: negative dimension");
+    // Check the dimensions against the counts actually present BEFORE
+    // init allocates: a hostile file must not be able to request a huge
+    // array by its header alone.  Both products fit in 64 bits.
+    const uint64_t nq = static_cast<uint64_t>(n_data) +
+                        static_cast<uint64_t>(n_checks);
+    const uint64_t want = static_cast<uint64_t>(rounds) * nq;
     const Json& jc = j["counts"];
-    if (jc.size() != h.counts.size())
-        throw std::runtime_error("Heatmap::from_json: counts length " +
-                                 std::to_string(jc.size()) + " != " +
-                                 std::to_string(h.counts.size()));
+    if (nq > static_cast<uint64_t>(std::numeric_limits<int>::max()) ||
+        jc.size() != want)
+        throw std::runtime_error(
+            "Heatmap::from_json: counts length " + std::to_string(jc.size()) +
+            " != " + std::to_string(rounds) + " rounds x " +
+            std::to_string(nq) + " qubits");
+    Heatmap h;
+    h.init(rounds, n_data, n_checks);
     for (size_t i = 0; i < h.counts.size(); ++i)
         h.counts[i] = static_cast<uint64_t>(jc.at(i).as_int());
     return h;

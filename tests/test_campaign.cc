@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -221,6 +222,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NoiseFieldCase>& tp) {
         return std::string(tp.param.field);
     });
+
+// Hostile integers: an int field outside int's range is refused by the
+// spec loader, never narrowed ("rounds": 4294967301 used to plan 5
+// rounds; "batch_words": 4294967297 ran at K = 1 under K = 1's hash).
+TEST(CampaignSpec, LoaderRefusesIntegersOutsideInt)
+{
+    CampaignSpec spec = small_spec("wide");
+    spec.batch_words = 2;  // so the document carries the field
+    for (const char* key : {"shots", "rounds", "rng_streams", "batch_words"}) {
+        for (int64_t v : {(int64_t{1} << 32) + 1, -(int64_t{1} << 32)}) {
+            SCOPED_TRACE(std::string(key) + " = " + std::to_string(v));
+            io::Json j = spec.to_json();
+            j.set(key, io::Json::integer(v));
+            try {
+                CampaignSpec::from_json(io::Json::parse(j.dump()));
+                ADD_FAILURE() << "accepted";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find("does not fit in int"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+// A spec naming the removed batch_tableau backend is refused with the
+// known-backends list, never mapped to another engine.
+TEST(CampaignSpec, LoaderRefusesAnUnknownBackend)
+{
+    io::Json j = small_spec("stale").to_json();
+    j.set("backend", io::Json::str("batch_tableau"));
+    try {
+        CampaignSpec::from_json(j);
+        ADD_FAILURE() << "accepted backend batch_tableau";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"batch_tableau\""), std::string::npos) << what;
+        EXPECT_NE(what.find("known backends: frame, tableau, batch_frame"),
+                  std::string::npos)
+            << what;
+    }
+}
 
 TEST(CostModel, JobCostUnitsWeighShotsRoundsAndBackend)
 {
@@ -543,6 +588,48 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
     CampaignSpec swapped = spec;
     std::swap(swapped.policies[0], swapped.policies[1]);
     EXPECT_THROW(merge_campaign(swapped, 2, dir), std::runtime_error);
+}
+
+// A shard file whose stream index does not fit in int is refused.  At
+// 2^32 the old narrowing gave stream 0, which passed the range check and
+// would have merged the entry as stream 0.
+TEST(Merge, RefusesAStreamIndexOutsideInt)
+{
+    const CampaignSpec spec = small_spec("wide_stream");
+    const std::string dir = fresh_dir("wide_stream");
+    run_shard(spec, 0, 2, dir, untraced(1));
+    run_shard(spec, 1, 2, dir, untraced(1));
+    // Job 0's first shard file that carries a stream entry, and the
+    // span of that entry's index digits.
+    const std::string key = "\"stream\":";
+    std::string path, text;
+    size_t at = std::string::npos;
+    for (int shard = 0; shard < 2 && path.empty(); ++shard) {
+        const std::string p = shard_result_path(dir, spec, 0, shard, 2);
+        text = io::read_file(p);
+        at = text.find(key);
+        if (at != std::string::npos)
+            path = p;
+    }
+    ASSERT_FALSE(path.empty());
+    const size_t begin = text.find_first_of("0123456789", at + key.size());
+    const size_t end = text.find_first_not_of("0123456789", begin);
+    ASSERT_NE(end, std::string::npos);
+    for (const char* v : {"4294967296", "-4294967296"}) {
+        SCOPED_TRACE(v);
+        io::write_file_atomic(path, text.substr(0, begin) + v +
+                                        text.substr(end));
+        try {
+            merge_campaign(spec, 2, dir);
+            ADD_FAILURE() << "merged stream " << v;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("does not fit in int"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    io::write_file_atomic(path, text);
+    EXPECT_NO_THROW(merge_campaign(spec, 2, dir));
 }
 
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)

@@ -373,45 +373,39 @@ TEST(Determinism, SparseSamplingBitIdenticalAcrossThreadsAndShards)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kBatchFrame, SimBackend::kBatchTableau}) {
-        SCOPED_TRACE(backend_name(backend));
-        ExperimentConfig cfg;
-        cfg.backend = backend;
-        cfg.noise_sampling = NoiseSampling::kSparse;
-        cfg.np = NoiseParams::standard(2e-3, 0.5);
-        cfg.rounds = 6;
-        cfg.seed = 0x5BA85E5EEDull;
-        cfg.leakage_sampling = true;
-        cfg.record_dlp_series = true;
-        cfg.compute_ler = true;
-        cfg.rng_streams = 2;
-        // One full block + a 17-shot partial per stream: the partial
-        // batch's event space still spans site x lane over the full
-        // block width, with dead lanes masked out of the event masks.
-        cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 17);
-        ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
+    ExperimentConfig cfg;
+    cfg.backend = SimBackend::kBatchFrame;
+    cfg.noise_sampling = NoiseSampling::kSparse;
+    cfg.np = NoiseParams::standard(2e-3, 0.5);
+    cfg.rounds = 6;
+    cfg.seed = 0x5BA85E5EEDull;
+    cfg.leakage_sampling = true;
+    cfg.record_dlp_series = true;
+    cfg.compute_ler = true;
+    cfg.rng_streams = 2;
+    // One full block + a 17-shot partial per stream: the partial
+    // batch's event space still spans site x lane over the full
+    // block width, with dead lanes masked out of the event masks.
+    cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 17);
+    ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
 
-        const Metrics base = run_with_threads(ctx, cfg, 1, factory);
-        EXPECT_EQ(base.shots, cfg.shots);
-        expect_metrics_identical(base,
-                                 run_with_threads(ctx, cfg, 1, factory));
-        for (int threads : {2, 8, 16}) {
-            SCOPED_TRACE(threads);
-            expect_metrics_identical(
-                base, run_with_threads(ctx, cfg, threads, factory));
-        }
-
-        // Sharded-vs-single: per-stream partials merged in stream order
-        // reproduce the same bits.
-        cfg.threads = 4;
-        const ExperimentRunner runner(ctx, cfg);
-        const std::vector<Metrics> parts =
-            runner.run_partials(factory, {0, 1});
-        Metrics merged = parts[0];
-        merged.merge(parts[1]);
-        expect_metrics_identical(base, merged);
+    const Metrics base = run_with_threads(ctx, cfg, 1, factory);
+    EXPECT_EQ(base.shots, cfg.shots);
+    expect_metrics_identical(base, run_with_threads(ctx, cfg, 1, factory));
+    for (int threads : {2, 8, 16}) {
+        SCOPED_TRACE(threads);
+        expect_metrics_identical(
+            base, run_with_threads(ctx, cfg, threads, factory));
     }
+
+    // Sharded-vs-single: per-stream partials merged in stream order
+    // reproduce the same bits.
+    cfg.threads = 4;
+    const ExperimentRunner runner(ctx, cfg);
+    const std::vector<Metrics> parts = runner.run_partials(factory, {0, 1});
+    Metrics merged = parts[0];
+    merged.merge(parts[1]);
+    expect_metrics_identical(base, merged);
 }
 
 // Flipping the mode must actually change the batch backends' draws (the

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -226,6 +227,55 @@ TEST(Serialize, Version1ConfigMigratesToFrameBackend)
     const ExperimentConfig back = config_from_json(v1);
     EXPECT_EQ(back.backend, SimBackend::kFrame);
     EXPECT_EQ(back.shots, sample_config().shots);
+}
+
+// Hostile integers: an int field outside int's range is refused by the
+// loader, never narrowed (2^32 + 1 used to load as 1, and 2^32 + 5
+// rounds as 5).
+TEST(Serialize, ConfigRefusesIntegersOutsideInt)
+{
+    ExperimentConfig cfg = sample_config();
+    cfg.batch_words = 2;  // so the document carries the field
+    for (const char* key : {"rounds", "shots", "rng_streams", "batch_words"}) {
+        for (int64_t v : {(int64_t{1} << 32) + 1, -(int64_t{1} << 32)}) {
+            SCOPED_TRACE(std::string(key) + " = " + std::to_string(v));
+            Json j = config_to_json(cfg);
+            j.set(key, Json::integer(v));
+            try {
+                config_from_json(Json::parse(j.dump()));
+                ADD_FAILURE() << "accepted";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find("does not fit in int"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // The int range edges still load.
+    Json j = config_to_json(cfg);
+    j.set("shots", Json::integer(std::numeric_limits<int>::max()));
+    EXPECT_EQ(config_from_json(j).shots, std::numeric_limits<int>::max());
+}
+
+// A document naming a backend this build does not have (batch_tableau
+// was removed) is refused with the known-backends list, never mapped to
+// another engine.
+TEST(Serialize, ConfigRefusesAnUnknownBackend)
+{
+    Json j = config_to_json(sample_config());
+    j.set("backend", Json::str("batch_tableau"));
+    try {
+        config_from_json(j);
+        ADD_FAILURE() << "accepted backend batch_tableau";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"batch_tableau\""), std::string::npos) << what;
+        EXPECT_NE(what.find("known backends: frame, tableau, batch_frame"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(Serialize, ConfigHashStability)

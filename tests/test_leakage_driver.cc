@@ -430,11 +430,10 @@ TEST(LeakageDriverDrift, EveryKnownBackendRoutesThroughTheSharedDriver)
         SCOPED_TRACE(backend_name(b));
         const auto sim = make_simulator(b, code, rc, np, 1);
         // Structural: the backend derives from LeakageDriverSim (scalar
-        // driver) or BatchLeakageDriverSim (its lockstep twin) — its
+        // driver) or is the BatchFrameSim (its lockstep twin) — its
         // round/leak semantics ARE a shared driver's, not a copy.
         const auto* ds = dynamic_cast<const LeakageDriverSim*>(sim.get());
-        const auto* bs =
-            dynamic_cast<const BatchLeakageDriverSim*>(sim.get());
+        const auto* bs = dynamic_cast<const BatchFrameSim*>(sim.get());
         ASSERT_TRUE(ds != nullptr || bs != nullptr)
             << "backend routes through neither leakage driver";
         // Its ground-truth oracle is the driver's own flag state.
@@ -442,7 +441,7 @@ TEST(LeakageDriverDrift, EveryKnownBackendRoutesThroughTheSharedDriver)
             EXPECT_EQ(&sim->leak_oracle(),
                       static_cast<const LeakageOracle*>(&ds->driver()));
         } else {
-            EXPECT_EQ(&sim->leak_oracle(), &bs->driver().lane_oracle(0));
+            EXPECT_EQ(&sim->leak_oracle(), &bs->lane_oracle(0));
         }
         // And interface-level leak state is the driver's flag state.
         sim->inject_data_leak(1);

@@ -29,8 +29,7 @@ using test::expect_metrics_identical;
 
 constexpr SimBackend kBackends[] = {SimBackend::kFrame,
                                     SimBackend::kTableau,
-                                    SimBackend::kBatchFrame,
-                                    SimBackend::kBatchTableau};
+                                    SimBackend::kBatchFrame};
 
 NoiseParams
 noiseless()
@@ -54,8 +53,6 @@ TEST(SimBackends, NamesRoundTrip)
     EXPECT_EQ(backend_from_name("frame"), SimBackend::kFrame);
     EXPECT_EQ(backend_from_name("tableau"), SimBackend::kTableau);
     EXPECT_EQ(backend_from_name("batch_frame"), SimBackend::kBatchFrame);
-    EXPECT_EQ(backend_from_name("batch_tableau"),
-              SimBackend::kBatchTableau);
     for (SimBackend b : kBackends)
         EXPECT_EQ(backend_from_name(backend_name(b)), b);
     EXPECT_THROW(backend_from_name("stim"), std::runtime_error);
@@ -70,10 +67,8 @@ TEST(SimBackends, NamesRoundTrip)
 TEST(SimBackends, KnownBackendsCoverTheEnumAndTheNameList)
 {
     const std::vector<SimBackend>& all = known_backends();
-    ASSERT_EQ(all.size(), 4u);
+    ASSERT_EQ(all.size(), 3u);
     EXPECT_NE(std::find(all.begin(), all.end(), SimBackend::kBatchFrame),
-              all.end());
-    EXPECT_NE(std::find(all.begin(), all.end(), SimBackend::kBatchTableau),
               all.end());
     for (SimBackend b : kBackends)
         EXPECT_NE(std::find(all.begin(), all.end(), b), all.end());
@@ -176,10 +171,8 @@ TEST(SimBackends, NoiseSamplingNamesEnvAndContracts)
               backend_rng_contract(SimBackend::kTableau, L));
     EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
               backend_rng_contract(SimBackend::kBatchFrame, L));
-    EXPECT_NE(backend_rng_contract(SimBackend::kBatchTableau, S),
-              backend_rng_contract(SimBackend::kBatchTableau, L));
     EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
-              backend_rng_contract(SimBackend::kBatchTableau, S));
+              backend_rng_contract(SimBackend::kTableau, S));
     // The one-arg form is the lockstep contract (unchanged call sites).
     for (SimBackend b : kBackends)
         EXPECT_EQ(backend_rng_contract(b), backend_rng_contract(b, L));
@@ -209,13 +202,6 @@ TEST(SimBackends, CostFactorIsFrameNormalizedAndQuadraticForTableau)
     for (int n : {8, 17, 100, 1000})
         EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kBatchFrame, n),
                          1.0 / 64.0);
-    // The batch tableau backend runs K*64 full tableaux in lockstep —
-    // per SHOT it costs what a scalar tableau shot costs (the batch buys
-    // scheduler-block alignment, not a per-shot win), so the planner
-    // model is the same quadratic.
-    for (int n : {8, 16, 80, 2})
-        EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kBatchTableau, n),
-                         backend_cost_factor(SimBackend::kTableau, n));
 }
 
 TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
@@ -723,7 +709,7 @@ TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
 {
     // Same config, different backends: the leak-flag dynamics are
     // identical machinery, so the DLP rates must agree statistically
-    // (the tableau engines draw independent measurement randomness).
+    // (the tableau engine draws independent measurement randomness).
     // Refereed by the SAME stats:: pipeline gld_campaign verify uses — a
     // pooled two-proportion z-test on Metrics::dlp_sample — instead of
     // the arbitrary 0.5x..2x ratio bounds this test shipped with.
@@ -742,23 +728,17 @@ TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
     const Metrics frame = ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
     ASSERT_GT(frame.dlp_mean(), 0.0);
     const int n_data = code.n_data();
-    for (SimBackend b :
-         {SimBackend::kTableau, SimBackend::kBatchTableau}) {
-        SCOPED_TRACE(backend_name(b));
-        cfg.backend = b;
-        const Metrics tab =
-            ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
-        ASSERT_GT(tab.dlp_mean(), 0.0);
-        const stats::TwoProportionResult r = stats::two_proportion_z(
-            frame.dlp_sample(n_data), tab.dlp_sample(n_data));
-        // One pinned-seed test = one draw from the null; alpha 0.001
-        // keeps the false-failure budget negligible while catching any
-        // real divergence (a broken backend shifts DLP by far more than
-        // 3 sigma).
-        EXPECT_GE(r.p_value, 0.001)
-            << "dlp " << frame.dlp_mean() << " vs " << tab.dlp_mean()
-            << " (z=" << r.z << ")";
-    }
+    cfg.backend = SimBackend::kTableau;
+    const Metrics tab = ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
+    ASSERT_GT(tab.dlp_mean(), 0.0);
+    const stats::TwoProportionResult r = stats::two_proportion_z(
+        frame.dlp_sample(n_data), tab.dlp_sample(n_data));
+    // One pinned-seed test = one draw from the null; alpha 0.001 keeps
+    // the false-failure budget negligible while catching any real
+    // divergence (a broken backend shifts DLP by far more than 3 sigma).
+    EXPECT_GE(r.p_value, 0.001)
+        << "dlp " << frame.dlp_mean() << " vs " << tab.dlp_mean()
+        << " (z=" << r.z << ")";
 }
 
 TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "codes/surface_code.h"
@@ -88,8 +90,7 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
     for (SimBackend backend :
-         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame,
-          SimBackend::kBatchTableau}) {
+         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         for (int threads : {1, 8}) {
@@ -105,7 +106,8 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
 
 // The drift gate again at a multi-word batch width: the K-word heatmap
 // popcount path and the K-word FN/DLP accounting must be side-channel
-// clean too (same bits with and without a collector attached).
+// clean too (same bits with and without a collector attached).  tableau
+// ignores the width and runs the same config one lane wide.
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 {
     if (!telemetry::kCompiledIn)
@@ -115,8 +117,7 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kBatchFrame, SimBackend::kBatchTableau}) {
+    for (SimBackend backend : {SimBackend::kBatchFrame, SimBackend::kTableau}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         cfg.batch_words = 2;
@@ -136,7 +137,8 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 // round fast paths skip whole fused sweeps, so the telemetry hooks (per-
 // block stage timers, heatmap popcounts) must still see every block and
 // must not perturb the event stream — same bits with and without a
-// collector attached, on both batch backends.
+// collector attached, on batch_frame and on tableau (which ignores the
+// sampling mode).
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
 {
     if (!telemetry::kCompiledIn)
@@ -146,8 +148,7 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kBatchFrame, SimBackend::kBatchTableau}) {
+    for (SimBackend backend : {SimBackend::kBatchFrame, SimBackend::kTableau}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         cfg.noise_sampling = NoiseSampling::kSparse;
@@ -205,8 +206,7 @@ TEST(TelemetryDeterminism, AggregatesIdenticalAcrossThreadCounts)
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
     for (SimBackend backend :
-         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame,
-          SimBackend::kBatchTableau}) {
+         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         cfg.threads = 1;
@@ -441,6 +441,54 @@ TEST(TelemetryHeatmap, MergeRejectsDimensionMismatch)
     EXPECT_EQ(into.at(1, 0), a.at(1, 0));
     into.merge(empty);  // no-op
     EXPECT_EQ(into.counts, a.counts);
+}
+
+// Hostile heatmap files: a dimension outside int's range is refused, not
+// narrowed, and dimensions that disagree with the counts present are
+// refused BEFORE anything is allocated — the large cases below would ask
+// for terabytes if init ran first.
+TEST(TelemetryHeatmap, FromJsonRefusesHostileDimensions)
+{
+    telemetry::Heatmap h;
+    h.init(2, 3, 2);
+    const io::Json good = h.to_json();
+    EXPECT_EQ(telemetry::Heatmap::from_json(good).counts, h.counts);
+
+    for (const char* key : {"rounds", "n_data", "n_checks"}) {
+        for (int64_t v : {(int64_t{1} << 32) + 1, -(int64_t{1} << 32)}) {
+            SCOPED_TRACE(std::string(key) + " = " + std::to_string(v));
+            io::Json j = good;
+            j.set(key, io::Json::integer(v));
+            try {
+                telemetry::Heatmap::from_json(io::Json::parse(j.dump()));
+                ADD_FAILURE() << "accepted";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find("does not fit in int"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    const int64_t kIntMax = std::numeric_limits<int>::max();
+    const struct {
+        int64_t rounds, n_data, n_checks;
+    } refused[] = {
+        {kIntMax, 1000, 1000},     // 2^31 x 2000 counts, none present
+        {1, kIntMax, kIntMax},     // qubit count overflows int
+        {0, kIntMax, kIntMax},     // ... even with zero rounds
+        {-1, 3, 2},                // negative dimension
+        {3, 3, 2},                 // one round more than the counts hold
+    };
+    for (const auto& r : refused) {
+        SCOPED_TRACE(std::to_string(r.rounds) + "x" +
+                     std::to_string(r.n_data) + "+" +
+                     std::to_string(r.n_checks));
+        io::Json j = good;
+        j.set("rounds", io::Json::integer(r.rounds));
+        j.set("n_data", io::Json::integer(r.n_data));
+        j.set("n_checks", io::Json::integer(r.n_checks));
+        EXPECT_THROW(telemetry::Heatmap::from_json(j), std::runtime_error);
+    }
 }
 
 TEST(TelemetryCollector, MergedFoldsInStreamBlockOrder)

@@ -90,8 +90,8 @@ usage(const char* argv0)
         "                       block to K*64 shots, so like --backend it\n"
         "                       changes every job's config hash)\n"
         "  --noise-sampling <m> noise sampling mode: %s\n"
-        "                       (overrides the spec; sparse redraws the\n"
-        "                       batch backends' randomness event-wise, so\n"
+        "                       (overrides the spec; sparse redraws\n"
+        "                       batch_frame's randomness event-wise, so\n"
         "                       like --backend it changes every job's\n"
         "                       config hash; scalar backends ignore it)\n"
         "  --no-telemetry       disable the telemetry side channel (run/\n"
