@@ -30,8 +30,7 @@ namespace {
  * NoiseSampling::kSparse: batch_frame switches to an event-driven scalar
  * stream per (stream, block) work unit (contract 3 — a draw sequence no
  * lockstep engine replays), while the scalar engines ignore the knob and
- * keep their lockstep ids.  Contract ids are never reused: ids 2 and 4
- * belonged to a retired exact batch backend.
+ * keep their lockstep ids.
  */
 struct BackendEntry {
     SimBackend backend;

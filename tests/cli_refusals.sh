@@ -38,8 +38,8 @@ spec() {
     sed "$2" "$dir/example.json" > "$dir/$1.json"
 }
 
-# A backend name this build does not know (batch_tableau was removed)
-# must be refused wherever it enters, never mapped to another engine.
+# A backend name this build does not know (batch_tableau) must be
+# refused wherever it enters, never mapped to another engine.
 known='known backends: frame, tableau, batch_frame'
 spec stale_backend 's/"backend": "frame"/"backend": "batch_tableau"/'
 expect spec_backend "$known" \
@@ -52,7 +52,7 @@ expect env_backend "$known" \
     env GLD_BACKEND=batch_tableau "$bin" demo --out "$out"
 
 # Spec integers outside int's range are refused, never narrowed
-# (2^32 + 5 rounds used to plan 5).
+# (narrowed, 2^32 + 5 rounds would plan 5).
 for field in shots rounds rng_streams; do
     for v in 4294967301 -4294967296; do
         spec "$field$v" "s/\"$field\": [0-9]*/\"$field\": $v/"

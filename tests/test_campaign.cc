@@ -224,8 +224,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Hostile integers: an int field outside int's range is refused by the
-// spec loader, never narrowed ("rounds": 4294967301 used to plan 5
-// rounds; "batch_words": 4294967297 ran at K = 1 under K = 1's hash).
+// spec loader, never narrowed.  Narrowed, "rounds": 4294967301 plans 5
+// rounds and "batch_words": 4294967297 runs at K = 1 under K = 1's hash.
 TEST(CampaignSpec, LoaderRefusesIntegersOutsideInt)
 {
     CampaignSpec spec = small_spec("wide");
@@ -249,8 +249,8 @@ TEST(CampaignSpec, LoaderRefusesIntegersOutsideInt)
     }
 }
 
-// A spec naming the removed batch_tableau backend is refused with the
-// known-backends list, never mapped to another engine.
+// A spec naming a backend this build does not have (batch_tableau) is
+// refused with the known-backends list, never mapped to another engine.
 TEST(CampaignSpec, LoaderRefusesAnUnknownBackend)
 {
     io::Json j = small_spec("stale").to_json();
@@ -590,9 +590,9 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
     EXPECT_THROW(merge_campaign(swapped, 2, dir), std::runtime_error);
 }
 
-// A shard file whose stream index does not fit in int is refused.  At
-// 2^32 the old narrowing gave stream 0, which passed the range check and
-// would have merged the entry as stream 0.
+// A shard file whose stream index does not fit in int is refused.
+// Narrowed, 2^32 becomes stream 0, which passes the range check and
+// merges the entry as stream 0.
 TEST(Merge, RefusesAStreamIndexOutsideInt)
 {
     const CampaignSpec spec = small_spec("wide_stream");

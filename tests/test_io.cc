@@ -230,8 +230,7 @@ TEST(Serialize, Version1ConfigMigratesToFrameBackend)
 }
 
 // Hostile integers: an int field outside int's range is refused by the
-// loader, never narrowed (2^32 + 1 used to load as 1, and 2^32 + 5
-// rounds as 5).
+// loader, never narrowed (narrowed, 2^32 + 5 rounds load as 5).
 TEST(Serialize, ConfigRefusesIntegersOutsideInt)
 {
     ExperimentConfig cfg = sample_config();
@@ -259,9 +258,9 @@ TEST(Serialize, ConfigRefusesIntegersOutsideInt)
     EXPECT_EQ(config_from_json(j).shots, std::numeric_limits<int>::max());
 }
 
-// A document naming a backend this build does not have (batch_tableau
-// was removed) is refused with the known-backends list, never mapped to
-// another engine.
+// A document naming a backend this build does not have (batch_tableau)
+// is refused with the known-backends list, never mapped to another
+// engine.
 TEST(Serialize, ConfigRefusesAnUnknownBackend)
 {
     Json j = config_to_json(sample_config());
