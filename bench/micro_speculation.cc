@@ -82,17 +82,15 @@ void
 BM_BackendThroughput(benchmark::State& state)
 {
     // Shots/second per (backend, batch width K, threads, noise sampling,
-    // decode) on a d=5 surface-code memory config — the honest
-    // measurement behind the batch backends' campaign cost factors and
-    // the K-width default.  Args: (backend enum, batch_words, threads,
-    // noise_sampling enum, compute_ler).  The single-thread K=1 rows
-    // keep the exact config of earlier recorded trajectory points; K>1
-    // and threads>1 rows scale shots/streams so every scheduler block is
-    // a FULL K*64-lane batch (a partial tail block would understate
-    // wide-K throughput) and every thread has work.  The @sparse rows
-    // measure the event-driven sampler against the lockstep rows of the
-    // SAME record; the @ler row turns the union-find decoder on so the
-    // decode stage is visible in the recorded stage split instead of
+    // decode) on a d=5 surface-code memory config — a developer's view
+    // of the backends' campaign cost factors and of the batch width K.
+    // Args: (backend enum, batch_words, threads, noise_sampling enum,
+    // compute_ler).  K>1 and threads>1 rows scale shots/streams so every
+    // scheduler block is a FULL K*64-lane batch (a partial tail block
+    // would understate wide-K throughput) and every thread has work.  The
+    // @sparse rows measure the event-driven sampler against the lockstep
+    // rows of the SAME run; the @ler row turns the union-find decoder on
+    // so the decode stage is visible in the stage split instead of
     // rounding to zero.  Run with --benchmark_filter=BackendThroughput.
     static CodeBundle bundle5(SurfaceCode::make(5));
     const CodeBundle& b = bundle5;
@@ -113,20 +111,16 @@ BM_BackendThroughput(benchmark::State& state)
     cfg.compute_ler = with_ler;
     ExperimentRunner runner(b.ctx, cfg);
     // Telemetry rides along (pure side channel — the drift gate pins that
-    // the measured Metrics are bit-identical with it attached) so the
-    // recorded trajectory carries the sim/policy/decode/accounting wall
-    // split, not just one shots/s number.
+    // the measured Metrics are bit-identical with it attached) so each
+    // row reports the sim/policy/decode/accounting wall split, not just
+    // one shots/s number.
     telemetry::Collector collector;
     runner.set_telemetry(&collector);
     const PolicyFactory factory = PolicyZoo::no_lrc();
     for (auto _ : state)
         benchmark::DoNotOptimize(runner.run(factory));
     state.SetItemsProcessed(state.iterations() * cfg.shots);
-    // Plain backend name at K=1/T=1/lockstep so the recorded
-    // trajectory's labels stay comparable across PRs; decorated
-    // otherwise.  @sparse and @ler fold into the trajectory's backend
-    // key (scripts/bench_record.sh) so these rows never shadow the
-    // lockstep sweep.
+    // Plain backend name at K=1/T=1/lockstep; decorated otherwise.
     std::string label = backend_name(cfg.backend);
     if (batch_words > 1)
         label += "@w" + std::to_string(batch_words);
@@ -146,25 +140,6 @@ BM_BackendThroughput(benchmark::State& state)
                     static_cast<double>(rec.stage_ns[s]) / total);
     }
 }
-// The batch_frame K sweep's history, for whoever reads the trajectory:
-// the record taken at 92ada21 showed K monotonically LOSING (335.8k at
-// K=1 down to 282.3k at K=8) — that slope was per-block driver
-// reconstruction + full-bank lane reseeding, which the worker-state
-// reuse PR removed (a reused driver is reset, not rebuilt), and K=2/K=4
-// now beat K=1 by ~30% single-threaded.  The residual K=8 falloff is a
-// working-set cap, not a code bug: 512 lanes x 32 B of xoshiro state is
-// a 16 KiB RNG bank swept at EVERY noise site, plus ~15 KiB of frame and
-// flag words per round — past typical 32 KiB L1d, so the site sweeps
-// evict the frames they interleave with.  Fixing it would mean tiling
-// whole rounds per lane word through every state primitive; until then
-// K=8 stays registered so the regression guard's K-sweep gate
-// (scripts/bench_guard.py) keeps the cap honest, and chosen_batch_words
-// records the K that actually wins.  Sparse sampling sidesteps the bank
-// sweeps entirely (one scalar event stream), which is why its K=8 row
-// barely pays the penalty.  Since lockstep became one portable loop per
-// noise site (the exact referee, not the fast path), its per-lane RNG
-// work dominates at every K and its K rows are flat within run noise,
-// so the K-sweep gate may warn on the lockstep rows.
 BENCHMARK(BM_BackendThroughput)
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 1, 0, 0})
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 8, 0, 0})
@@ -175,17 +150,17 @@ BENCHMARK(BM_BackendThroughput)
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 8, 0, 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 4, 8, 0, 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 8, 0, 0})
-    // The sparse event sampler vs its own lockstep rows (same record,
-    // same host): K=1 is the qualification ratio the perf trajectory
-    // cites; K=8 shows how much of the wide-K cache penalty the
-    // quiet-site fast path sidesteps.
+    // The sparse event sampler vs its own lockstep rows (same run,
+    // same host): K=1 is the sampler's qualification ratio; K=8 shows
+    // how much of the wide-K cache penalty the quiet-site fast path
+    // sidesteps.
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1,
             static_cast<int>(NoiseSampling::kSparse), 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 1,
             static_cast<int>(NoiseSampling::kSparse), 0})
     // Decode on (union-find per shot): the decode stage's wall share is
     // real in campaign configs with compute_ler, and this row keeps it
-    // visible in the recorded stage split.
+    // visible in the stage split.
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1, 0, 1})
     ->Args({static_cast<int>(SimBackend::kTableau), 1, 1, 0, 0})
     ->UseRealTime()

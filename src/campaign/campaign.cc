@@ -245,11 +245,13 @@ Calibration::from_telemetry(const CampaignSpec& spec, int n_shards,
                 const Json j = Json::parse(io::read_file(path));
                 if (j["config_hash"].as_str() != want_hash)
                     continue;  // stale telemetry: never calibrate on it
+                const int64_t shots = io::count_value(j["shots"], "shots");
+                const int64_t wall_ns =
+                    io::count_value(j["wall_ns"], "wall_ns");
                 Sum& s = sums[key(backend_name(job.cfg.backend), job.code,
                                   job.cfg.batch_words)];
-                s.shots += static_cast<double>(j["shots"].as_int());
-                s.seconds +=
-                    static_cast<double>(j["wall_ns"].as_int()) * 1e-9;
+                s.shots += static_cast<double>(shots);
+                s.seconds += static_cast<double>(wall_ns) * 1e-9;
             } catch (const std::exception&) {
                 continue;  // garbled file: skip, like resume does
             }
@@ -853,6 +855,9 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
     if (n_shards < 1)
         throw std::runtime_error("merge: n_shards must be >= 1");
     std::vector<Metrics> merged;
+    // Every job's shard files load before the first merged file is
+    // written, so a refused file leaves no partial merge behind.
+    std::vector<std::pair<std::string, std::string>> files;
     for (const JobSpec& job : spec.expand()) {
         const int total = ExperimentRunner::n_streams(job.cfg);
         const std::string want_hash = io::u64_to_hex(io::config_hash(job.cfg));
@@ -922,10 +927,12 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
         out.set("config_hash", Json::str(want_hash));
         out.set("n_shards", Json::integer(n_shards));
         out.set("metrics", io::metrics_to_json(m));
-        io::write_file_atomic(merged_result_path(out_dir, spec, job.index),
-                              out.dump(2) + "\n");
+        files.emplace_back(merged_result_path(out_dir, spec, job.index),
+                           out.dump(2) + "\n");
         merged.push_back(std::move(m));
     }
+    for (const auto& file : files)
+        io::write_file_atomic(file.first, file.second);
     return merged;
 }
 
@@ -979,9 +986,11 @@ job_telemetry_summary(const CampaignSpec& spec, const JobSpec& job,
             const Json j = Json::parse(io::read_file(path));
             if (j["config_hash"].as_str() != want_hash)
                 continue;
+            const int64_t wall_ns = io::count_value(j["wall_ns"], "wall_ns");
+            const int64_t shots = io::count_value(j["shots"], "shots");
             sum.found = true;
-            sum.wall_s += static_cast<double>(j["wall_ns"].as_int()) * 1e-9;
-            sum.shots += static_cast<uint64_t>(j["shots"].as_int());
+            sum.wall_s += static_cast<double>(wall_ns) * 1e-9;
+            sum.shots += static_cast<uint64_t>(shots);
         } catch (const std::exception&) {
             continue;
         }
@@ -1063,19 +1072,23 @@ read_progress(const CampaignSpec& spec, int n_shards,
                         const Json j = Json::parse(line);
                         p.valid = true;
                         p.done = j["done"].as_bool();
-                        p.jobs_done = j["jobs_done"].as_int();
-                        p.jobs_resumed = j["jobs_resumed"].as_int();
-                        p.jobs_total = j["jobs_total"].as_int();
-                        p.shots_done = j["shots_done"].as_int();
-                        p.shots_total = j["shots_total"].as_int();
-                        p.wall_ns =
-                            static_cast<uint64_t>(j["wall_ns"].as_int());
+                        const auto count = [&j](const std::string& key) {
+                            return io::count_value(j[key], key);
+                        };
+                        p.jobs_done = count("jobs_done");
+                        p.jobs_resumed = count("jobs_resumed");
+                        p.jobs_total = count("jobs_total");
+                        p.shots_done = count("shots_done");
+                        p.shots_total = count("shots_total");
+                        p.wall_ns = static_cast<uint64_t>(count("wall_ns"));
                         p.shots_per_second =
                             j["shots_per_second"].as_double();
                         const Json& js = j["stage_ns"];
-                        for (int s = 0; s < telemetry::kStageCount; ++s)
+                        for (int s = 0; s < telemetry::kStageCount; ++s) {
+                            const char* name = telemetry::stage_name(s);
                             p.stage_ns[s] = static_cast<uint64_t>(
-                                js[telemetry::stage_name(s)].as_int());
+                                io::count_value(js[name], name));
+                        }
                     } catch (const std::exception&) {
                         p.valid = false;  // torn/garbled: try previous
                     }

@@ -342,7 +342,8 @@ void remove_results(const CampaignSpec& spec, int n_shards,
  * in ascending stream order, writes `<name>.job####.merged.json` files
  * and returns the merged Metrics in job order.  Throws if any stream of
  * any job is missing, duplicated, or was produced under a different
- * config hash.
+ * config hash, or if a file carries a negative count; then no merged
+ * file is written.
  */
 std::vector<Metrics> merge_campaign(const CampaignSpec& spec, int n_shards,
                                     const std::string& out_dir);

@@ -197,6 +197,16 @@ int_field(const Json& j, const std::string& key)
     return static_cast<int>(v);
 }
 
+int64_t
+count_value(const Json& v, const std::string& what)
+{
+    const int64_t n = v.as_int();
+    if (n < 0)
+        throw std::runtime_error("json: \"" + what + "\" " +
+                                 std::to_string(n) + " is a negative count");
+    return n;
+}
+
 // --- Writer. ---
 
 namespace {

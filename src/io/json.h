@@ -92,6 +92,13 @@ class Json {
  */
 int int_field(const Json& j, const std::string& key);
 
+/**
+ * v as a count: a negative integer is refused with std::runtime_error
+ * naming `what`, never loaded (-1 would wrap to 2^64 - 1 in an unsigned
+ * counter, or merge as a negative shot total).
+ */
+int64_t count_value(const Json& v, const std::string& what);
+
 /** Reads a whole file; throws std::runtime_error if unreadable. */
 std::string read_file(const std::string& path);
 

@@ -225,8 +225,8 @@ metrics_from_json(const Json& j)
 {
     check_version(j, "Metrics");
     Metrics m;
-    m.shots = j["shots"].as_int();
-    m.rounds_per_shot = j["rounds_per_shot"].as_int();
+    m.shots = count_value(j["shots"], "shots");
+    m.rounds_per_shot = count_value(j["rounds_per_shot"], "rounds_per_shot");
     m.fn_total = f64_from_hex(j["fn_total"].as_str());
     m.fp_total = f64_from_hex(j["fp_total"].as_str());
     m.tp_total = f64_from_hex(j["tp_total"].as_str());
@@ -238,8 +238,8 @@ metrics_from_json(const Json& j)
         m.dlp_series.push_back(f64_from_hex(series.at(i).as_str()));
     m.dlp_total = f64_from_hex(j["dlp_total"].as_str());
     m.check_leak_total = f64_from_hex(j["check_leak_total"].as_str());
-    m.logical_errors = j["logical_errors"].as_int();
-    m.decoded_shots = j["decoded_shots"].as_int();
+    m.logical_errors = count_value(j["logical_errors"], "logical_errors");
+    m.decoded_shots = count_value(j["decoded_shots"], "decoded_shots");
     return m;
 }
 

@@ -101,7 +101,7 @@ Heatmap::from_json(const Json& j)
     Heatmap h;
     h.init(rounds, n_data, n_checks);
     for (size_t i = 0; i < h.counts.size(); ++i)
-        h.counts[i] = static_cast<uint64_t>(jc.at(i).as_int());
+        h.counts[i] = static_cast<uint64_t>(io::count_value(jc.at(i), "counts"));
     return h;
 }
 
@@ -147,16 +147,19 @@ Record
 Record::from_json(const Json& j)
 {
     Record r;
-    r.shots = static_cast<uint64_t>(j["shots"].as_int());
-    r.rounds = static_cast<uint64_t>(j["rounds"].as_int());
-    r.blocks = static_cast<uint64_t>(j["blocks"].as_int());
+    const auto count = [](const Json& v, const std::string& what) {
+        return static_cast<uint64_t>(io::count_value(v, what));
+    };
+    r.shots = count(j["shots"], "shots");
+    r.rounds = count(j["rounds"], "rounds");
+    r.blocks = count(j["blocks"], "blocks");
     const Json& js = j["stage_ns"];
     for (int s = 0; s < kStageCount; ++s)
-        r.stage_ns[s] = static_cast<uint64_t>(js[stage_name(s)].as_int());
+        r.stage_ns[s] = count(js[stage_name(s)], stage_name(s));
     const Json& jh = j["leak_histogram"];
     r.leak_hist.resize(jh.size());
     for (size_t i = 0; i < jh.size(); ++i)
-        r.leak_hist[i] = static_cast<uint64_t>(jh.at(i).as_int());
+        r.leak_hist[i] = count(jh.at(i), "leak_histogram");
     if (j.has("heatmap"))
         r.heatmap = Heatmap::from_json(j["heatmap"]);
     return r;

@@ -71,4 +71,21 @@ if [ -e "$out" ]; then
     echo "FAIL a refused command wrote $out"
     fail=1
 fi
+
+# A shard result edited to a negative shot count is refused by merge,
+# which then writes no merged file for any job. The edited file is the
+# last job's, after every other job's shard has loaded.
+spec tiny 's/"shots": [0-9]*/"shots": 16/; s/"rounds": [0-9]*/"rounds": 3/'
+runs="$dir/runs"
+"$bin" run --spec "$dir/tiny.json" --shard 0/1 --out "$runs" \
+    > "$dir/tiny_run.stdout" || exit 1
+last=$(ls "$runs"/*.shard0of1.json | grep -v telemetry | tail -n 1)
+sed '1,/"shots"/s/"shots": [0-9]*/"shots": -5/' "$last" > "$dir/edited.json"
+mv "$dir/edited.json" "$last"
+expect merge_negative_shots '"shots" -5 is a negative count' \
+    "$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$runs"
+if ls "$runs" | grep -q merged; then
+    echo "FAIL merge wrote a merged file from a refused shard"
+    fail=1
+fi
 exit $fail

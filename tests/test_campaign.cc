@@ -59,6 +59,19 @@ untraced(int threads)
     return opt;
 }
 
+/** `text` with the integer after the first `"key":` replaced by `value`. */
+std::string
+with_count(const std::string& text, const std::string& key,
+           const std::string& value)
+{
+    const size_t at = text.find("\"" + key + "\":");
+    if (at == std::string::npos)
+        throw std::runtime_error("no \"" + key + "\" in the fixture");
+    const size_t begin = text.find_first_of("-0123456789", at);
+    const size_t end = text.find_first_not_of("-0123456789", begin);
+    return text.substr(0, begin) + value + text.substr(end);
+}
+
 std::string
 fresh_dir(const std::string& tag)
 {
@@ -632,6 +645,36 @@ TEST(Merge, RefusesAStreamIndexOutsideInt)
     EXPECT_NO_THROW(merge_campaign(spec, 2, dir));
 }
 
+// A shard file carrying a negative count is refused, and merge then
+// writes no merged file at all. The bad file belongs to the last job, so
+// a merge that wrote as it went would have left the earlier jobs' files.
+TEST(Merge, RefusesANegativeCountAndWritesNoMergedFile)
+{
+    const CampaignSpec spec = small_spec("negative_shots");
+    const std::string dir = fresh_dir("negative_shots");
+    run_shard(spec, 0, 1, dir, untraced(1));
+    const std::vector<JobSpec> jobs = spec.expand();
+    ASSERT_GT(jobs.size(), 1u);
+    const std::string path =
+        shard_result_path(dir, spec, jobs.back().index, 0, 1);
+    const std::string text = io::read_file(path);
+    io::write_file_atomic(path, with_count(text, "shots", "-5"));
+    try {
+        merge_campaign(spec, 1, dir);
+        ADD_FAILURE() << "merged a negative shot count";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("\"shots\" -5 is a negative "
+                                             "count"),
+                  std::string::npos)
+            << e.what();
+    }
+    for (const JobSpec& job : jobs)
+        EXPECT_FALSE(io::file_exists(merged_result_path(dir, spec, job.index)))
+            << "job " << job.index;
+    io::write_file_atomic(path, text);
+    EXPECT_NO_THROW(merge_campaign(spec, 1, dir));
+}
+
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
 {
     // -j N (jobs_parallel) and the per-job runner loops execute on the
@@ -928,6 +971,68 @@ TEST(Observability, ResumeOnlyPassReportsZeroThroughput)
     EXPECT_EQ(resumed.shots_per_second, 0.0);
     EXPECT_EQ(resumed.shots_done, resumed.shots_total);
     EXPECT_EQ(resumed.shots_done, executed.shots_done);
+}
+
+// Telemetry and progress files that carry a negative count are skipped
+// like garbled ones: calibration and the report's throughput columns
+// treat the file as absent, and status falls back to the shard's last
+// good heartbeat.
+TEST(Observability, NegativeCountsInTelemetryAndProgressAreSkipped)
+{
+    if (!telemetry::kCompiledIn)
+        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
+    CampaignSpec spec = small_spec("observe_negative");
+    spec.policies = {"eraser_m"};  // one job, one telemetry file
+    const std::string dir = fresh_dir("observe_negative");
+    RunShardOptions opt;
+    opt.threads = 1;
+    run_shard(spec, 0, 1, dir, opt);
+    merge_campaign(spec, 1, dir);
+    const auto report = [&] {
+        ::testing::internal::CaptureStdout();
+        print_report(spec, dir, 1);
+        return ::testing::internal::GetCapturedStdout();
+    };
+    ASSERT_NO_THROW(Calibration::from_telemetry(spec, 1, dir));
+    const std::string measured = report();
+
+    const std::string tpath = telemetry_path(dir, spec, 0, 0, 1);
+    const std::string telem = io::read_file(tpath);
+    std::remove(tpath.c_str());
+    const std::string absent = report();
+    EXPECT_NE(absent, measured);
+    for (const char* key : {"shots", "wall_ns"}) {
+        SCOPED_TRACE(key);
+        io::write_file_atomic(tpath, with_count(telem, key, "-1"));
+        EXPECT_THROW(Calibration::from_telemetry(spec, 1, dir),
+                     std::runtime_error);
+        EXPECT_EQ(report(), absent);
+    }
+    io::write_file_atomic(tpath, telem);
+    EXPECT_EQ(report(), measured);
+
+    const std::string ppath = progress_path(dir, spec, 0, 1);
+    const std::string beats = io::read_file(ppath);
+    const ShardProgress good = read_progress(spec, 1, dir)[0];
+    ASSERT_TRUE(good.valid);
+    const std::string last =
+        beats.substr(beats.rfind('\n', beats.size() - 2) + 1);
+    for (const char* key : {"jobs_done", "jobs_resumed", "jobs_total",
+                            "shots_done", "shots_total", "wall_ns", "sim",
+                            "policy", "decode", "accounting"}) {
+        SCOPED_TRACE(key);
+        io::write_file_atomic(ppath, beats + with_count(last, key, "-1"));
+        const ShardProgress p = read_progress(spec, 1, dir)[0];
+        ASSERT_TRUE(p.valid);
+        EXPECT_EQ(p.jobs_done, good.jobs_done);
+        EXPECT_EQ(p.jobs_resumed, good.jobs_resumed);
+        EXPECT_EQ(p.jobs_total, good.jobs_total);
+        EXPECT_EQ(p.shots_done, good.shots_done);
+        EXPECT_EQ(p.shots_total, good.shots_total);
+        EXPECT_EQ(p.wall_ns, good.wall_ns);
+        for (int s = 0; s < telemetry::kStageCount; ++s)
+            EXPECT_EQ(p.stage_ns[s], good.stage_ns[s]) << "stage " << s;
+    }
 }
 
 }  // namespace

@@ -370,6 +370,35 @@ TEST(Serialize, MetricsRoundTripIsBitExact)
         EXPECT_EQ(bits_of(back.dlp_series[i]), bits_of(m.dlp_series[i]));
 }
 
+// Hostile counts: a negative counter is refused by the loader, never
+// loaded (a shard file edited to "shots": -5 would otherwise merge a
+// negative shot total into the campaign).
+TEST(Serialize, MetricsRefusesNegativeCounts)
+{
+    Metrics m;
+    m.shots = 10;
+    m.rounds_per_shot = 3;
+    m.logical_errors = 1;
+    m.decoded_shots = 10;
+    for (const char* key :
+         {"shots", "rounds_per_shot", "logical_errors", "decoded_shots"}) {
+        SCOPED_TRACE(key);
+        Json j = metrics_to_json(m);
+        j.set(key, Json::integer(-5));
+        try {
+            metrics_from_json(Json::parse(j.dump()));
+            ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + key +
+                                                 "\" -5 is a negative count"),
+                      std::string::npos)
+                << e.what();
+        }
+        j.set(key, Json::integer(0));  // zero is a count
+        EXPECT_NO_THROW(metrics_from_json(j));
+    }
+}
+
 TEST(Serialize, VersionIsChecked)
 {
     Json j = metrics_to_json(Metrics{});

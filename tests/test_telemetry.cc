@@ -491,6 +491,70 @@ TEST(TelemetryHeatmap, FromJsonRefusesHostileDimensions)
     }
 }
 
+// Hostile counts: a negative heatmap count is refused, never cast to
+// 2^64 - 1 and merged into the campaign heatmap.
+TEST(TelemetryHeatmap, FromJsonRefusesNegativeCounts)
+{
+    io::Json j = io::Json::parse(
+        R"({"rounds":1,"n_data":1,"n_checks":1,"counts":[-1,0]})");
+    try {
+        telemetry::Heatmap::from_json(j);
+        ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("\"counts\" -1 is a negative "
+                                             "count"),
+                  std::string::npos)
+            << e.what();
+    }
+    j = io::Json::parse(
+        R"({"rounds":1,"n_data":1,"n_checks":1,"counts":[0,7]})");
+    EXPECT_EQ(telemetry::Heatmap::from_json(j).counts,
+              (std::vector<uint64_t>{0, 7}));
+}
+
+// The same for every counter of a telemetry record: totals, stage
+// nanoseconds and histogram buckets.
+TEST(TelemetryRecord, FromJsonRefusesNegativeCounts)
+{
+    telemetry::Record rec;
+    rec.shots = 4;
+    rec.rounds = 12;
+    rec.blocks = 1;
+    rec.leak_hist = {10, 2};
+    const io::Json good = rec.to_json();
+    const auto expect_refused = [](const io::Json& j, const char* what) {
+        SCOPED_TRACE(what);
+        try {
+            telemetry::Record::from_json(j);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + what +
+                                                 "\" -1 is a negative count"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    for (const char* key : {"shots", "rounds", "blocks"}) {
+        io::Json j = good;
+        j.set(key, io::Json::integer(-1));
+        expect_refused(j, key);
+    }
+    for (int s = 0; s < telemetry::kStageCount; ++s) {
+        io::Json stages = good["stage_ns"];
+        stages.set(telemetry::stage_name(s), io::Json::integer(-1));
+        io::Json j = good;
+        j.set("stage_ns", std::move(stages));
+        expect_refused(j, telemetry::stage_name(s));
+    }
+    io::Json hist = io::Json::array();
+    hist.push(io::Json::integer(10));
+    hist.push(io::Json::integer(-1));
+    io::Json j = good;
+    j.set("leak_histogram", std::move(hist));
+    expect_refused(j, "leak_histogram");
+    EXPECT_EQ(telemetry::Record::from_json(good).leak_hist, rec.leak_hist);
+}
+
 TEST(TelemetryCollector, MergedFoldsInStreamBlockOrder)
 {
     telemetry::Collector col;
