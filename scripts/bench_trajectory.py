@@ -65,6 +65,10 @@ def run_workload(name, seconds, trace):
 
 def record():
     bench = load_benchmark()
+    history = []
+    if os.path.exists(TRAJECTORY):
+        with open(TRAJECTORY) as f:
+            history = json.load(f)
     wanted = [m["name"] for m in bench["end_to_end"]]
     runs = [(w["name"], 0) for w in bench["workloads"]]
     runs.append(("code_generality", 1))
@@ -99,10 +103,6 @@ def record():
         "workloads": medians,
         SPEEDUP: speedup,
     }
-    history = []
-    if os.path.exists(TRAJECTORY):
-        with open(TRAJECTORY) as f:
-            history = json.load(f)
     history.append(entry)
     with open(TRAJECTORY, "w") as f:
         json.dump(history, f, indent=2)

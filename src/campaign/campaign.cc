@@ -1072,23 +1072,22 @@ read_progress(const CampaignSpec& spec, int n_shards,
                         const Json j = Json::parse(line);
                         p.valid = true;
                         p.done = j["done"].as_bool();
-                        const auto count = [&j](const std::string& key) {
-                            return io::count_value(j[key], key);
+                        const auto count = [](const Json& o,
+                                              const std::string& key) {
+                            return io::count_value(o[key], key);
                         };
-                        p.jobs_done = count("jobs_done");
-                        p.jobs_resumed = count("jobs_resumed");
-                        p.jobs_total = count("jobs_total");
-                        p.shots_done = count("shots_done");
-                        p.shots_total = count("shots_total");
-                        p.wall_ns = static_cast<uint64_t>(count("wall_ns"));
+                        p.jobs_done = count(j, "jobs_done");
+                        p.jobs_resumed = count(j, "jobs_resumed");
+                        p.jobs_total = count(j, "jobs_total");
+                        p.shots_done = count(j, "shots_done");
+                        p.shots_total = count(j, "shots_total");
+                        p.wall_ns = static_cast<uint64_t>(count(j, "wall_ns"));
                         p.shots_per_second =
                             j["shots_per_second"].as_double();
                         const Json& js = j["stage_ns"];
-                        for (int s = 0; s < telemetry::kStageCount; ++s) {
-                            const char* name = telemetry::stage_name(s);
+                        for (int s = 0; s < telemetry::kStageCount; ++s)
                             p.stage_ns[s] = static_cast<uint64_t>(
-                                io::count_value(js[name], name));
-                        }
+                                count(js, telemetry::stage_name(s)));
                     } catch (const std::exception&) {
                         p.valid = false;  // torn/garbled: try previous
                     }

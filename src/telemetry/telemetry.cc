@@ -101,7 +101,8 @@ Heatmap::from_json(const Json& j)
     Heatmap h;
     h.init(rounds, n_data, n_checks);
     for (size_t i = 0; i < h.counts.size(); ++i)
-        h.counts[i] = static_cast<uint64_t>(io::count_value(jc.at(i), "counts"));
+        h.counts[i] =
+            static_cast<uint64_t>(io::count_value(jc.at(i), "counts"));
     return h;
 }
 
