@@ -114,10 +114,7 @@ CampaignSpec::to_json() const
 CampaignSpec
 CampaignSpec::from_json(const Json& j)
 {
-    const int64_t v = j["gld_version"].as_int();
-    if (v < 1 || v > io::kSerializeVersion)
-        throw std::runtime_error("CampaignSpec: unsupported gld_version " +
-                                 std::to_string(v));
+    io::check_version(j, "CampaignSpec");
     CampaignSpec spec;
     spec.name = j["name"].as_str();
     spec.seed = io::u64_from_hex(j["seed"].as_str());
@@ -208,10 +205,7 @@ Calibration::to_json() const
 Calibration
 Calibration::from_json(const Json& j)
 {
-    const int64_t v = j["gld_version"].as_int();
-    if (v < 1 || v > io::kSerializeVersion)
-        throw std::runtime_error("Calibration: unsupported gld_version " +
-                                 std::to_string(v));
+    io::check_version(j, "Calibration");
     Calibration cal;
     for (const auto& kv : j["shots_per_second"].items()) {
         const double rate = kv.second.as_double();
@@ -280,17 +274,6 @@ ShardPlan::validate(int shard, int n_shards)
         throw std::runtime_error("shard plan: shard index " +
                                  std::to_string(shard) + " outside [0, " +
                                  std::to_string(n_shards) + ")");
-}
-
-std::vector<int>
-ShardPlan::streams_for(const ExperimentConfig& cfg, int shard, int n_shards)
-{
-    validate(shard, n_shards);
-    std::vector<int> streams;
-    const int total = ExperimentRunner::n_streams(cfg);
-    for (int s = shard; s < total; s += n_shards)
-        streams.push_back(s);
-    return streams;
 }
 
 // --- CampaignPlan (greedy LPT over per-stream cost units). ---

@@ -127,17 +127,11 @@ double job_cost_units(const JobSpec& job, int n_qubits, long shots);
  * knows nothing about cost: a tableau d=7 job's stream costs ~n^2/64 x a
  * frame stream, and batch_frame streams ~1/64 x.  Campaign-level
  * scheduling (run_shard, resume validation, the plan command) therefore
- * runs entirely on CampaignPlan (greedy LPT over cost units) below;
- * streams_for is NOT on any production path anymore — it is kept as the
- * executable record of the historical contract, pinned by its test.
+ * runs entirely on CampaignPlan (greedy LPT over cost units) below.
  */
 struct ShardPlan {
     /** Throws std::runtime_error unless 0 <= shard < n_shards. */
     static void validate(int shard, int n_shards);
-
-    /** Ascending stream ids of `cfg` owned by `shard`. */
-    static std::vector<int> streams_for(const ExperimentConfig& cfg,
-                                        int shard, int n_shards);
 };
 
 /**

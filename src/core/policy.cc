@@ -57,54 +57,24 @@ WordPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
 // --- PerLanePolicy: the fallback adapter. ---
 
 /** One lane: its policy instance and the oracle view it reads. */
-struct PerLanePolicy::Lane final : LeakageOracle {
-    std::unique_ptr<Policy> policy;
-    const CssCode* code = nullptr;
-    int lane = 0;
-    int n_words = 1;
-    const LaneMask* leaked = nullptr;  ///< the current round's words
+struct PerLanePolicy::Lane {
+    Lane(std::unique_ptr<Policy> p, const CssCode& code, int lane)
+        : policy(std::move(p)), oracle(code, nullptr, 1, lane)
+    {
+        policy->set_leak_oracle(&oracle);
+    }
 
-    bool bit(int q) const
-    {
-        return leaked != nullptr &&
-               lane_bit_of(&leaked[static_cast<size_t>(q) *
-                                   static_cast<size_t>(n_words)]);
-    }
-    bool lane_bit_of(const LaneMask* span) const
-    {
-        return (span[lane >> 6] >> (lane & 63)) & 1u;
-    }
-    bool data_leaked(int q) const override { return bit(q); }
-    bool check_leaked(int c) const override
-    {
-        return bit(code->ancilla_of(c));
-    }
-    int n_data_leaked() const override
-    {
-        int n = 0;
-        for (int q = 0; q < code->n_data(); ++q)
-            n += bit(q) ? 1 : 0;
-        return n;
-    }
-    int n_check_leaked() const override
-    {
-        int n = 0;
-        for (int c = 0; c < code->n_checks(); ++c)
-            n += check_leaked(c) ? 1 : 0;
-        return n;
-    }
+    std::unique_ptr<Policy> policy;
+    LaneLeakOracle oracle;  ///< bound to each round's leak words
 };
 
 PerLanePolicy::PerLanePolicy(const CodeContext& ctx, Maker make,
                              std::unique_ptr<Policy> first)
     : WordPolicy(ctx, /*whole_round=*/true), make_(std::move(make))
 {
-    if (first != nullptr) {
-        lanes_.push_back(std::make_unique<Lane>());
-        lanes_.back()->policy = std::move(first);
-        lanes_.back()->code = &ctx.code();
-        lanes_.back()->policy->set_leak_oracle(lanes_.back().get());
-    }
+    if (first != nullptr)
+        lanes_.push_back(
+            std::make_unique<Lane>(std::move(first), ctx.code(), 0));
     lane(0);
 }
 
@@ -113,14 +83,9 @@ PerLanePolicy::~PerLanePolicy() = default;
 PerLanePolicy::Lane&
 PerLanePolicy::lane(int l)
 {
-    while (static_cast<int>(lanes_.size()) <= l) {
-        auto ln = std::make_unique<Lane>();
-        ln->policy = make_();
-        ln->code = &ctx().code();
-        ln->lane = static_cast<int>(lanes_.size());
-        ln->policy->set_leak_oracle(ln.get());
-        lanes_.push_back(std::move(ln));
-    }
+    while (static_cast<int>(lanes_.size()) <= l)
+        lanes_.push_back(std::make_unique<Lane>(
+            make_(), ctx().code(), static_cast<int>(lanes_.size())));
     return *lanes_[static_cast<size_t>(l)];
 }
 
@@ -134,11 +99,8 @@ void
 PerLanePolicy::begin_batch(const LaneMask* active, int n_words)
 {
     for (int w = 0; w < n_words; ++w) {
-        for (LaneMask m = active[w]; m != 0; m &= m - 1) {
-            Lane& ln = lane(w * kBatchLanes + __builtin_ctzll(m));
-            ln.n_words = n_words;
-            ln.policy->begin_shot();
-        }
+        for (LaneMask m = active[w]; m != 0; m &= m - 1)
+            lane(w * kBatchLanes + __builtin_ctzll(m)).policy->begin_shot();
     }
 }
 
@@ -146,30 +108,15 @@ void
 PerLanePolicy::observe_words(int round, const RoundWords& in, LrcMasks* out)
 {
     const int K = in.n_words;
-    const size_t n_checks = static_cast<size_t>(ctx().code().n_checks());
+    const int n_checks = ctx().code().n_checks();
     std::fill(out->data.begin(), out->data.end(), 0);
     std::fill(out->checks.begin(), out->checks.end(), 0);
-    rr_.meas_flip.assign(n_checks, 0);
-    rr_.detector.resize(n_checks);
-    rr_.mlr_flag.resize(n_checks);
     for (int w = 0; w < K; ++w) {
         for (LaneMask m = in.active[w]; m != 0; m &= m - 1) {
-            const int b = __builtin_ctzll(m);
-            const int l = w * kBatchLanes + b;
-            for (size_t c = 0; c < n_checks; ++c) {
-                const size_t i = c * static_cast<size_t>(K) +
-                                 static_cast<size_t>(w);
-                rr_.detector[c] =
-                    static_cast<uint8_t>((in.detector[i] >> b) & 1u);
-                rr_.mlr_flag[c] =
-                    static_cast<uint8_t>((in.mlr_flag[i] >> b) & 1u);
-                if (in.meas_flip != nullptr)
-                    rr_.meas_flip[c] =
-                        static_cast<uint8_t>((in.meas_flip[i] >> b) & 1u);
-            }
+            const int l = w * kBatchLanes + __builtin_ctzll(m);
+            unpack_lane(in, n_checks, l, &rr_);
             Lane& ln = lane(l);
-            ln.n_words = K;
-            ln.leaked = in.leaked;
+            ln.oracle.bind(in.leaked, K);
             ln.policy->observe(round, rr_, &sched_);
             out->add_lane(l, sched_);
         }

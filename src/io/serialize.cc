@@ -7,13 +7,9 @@
 namespace gld {
 namespace io {
 
-namespace {
-
 void
 check_version(const Json& j, const char* what)
 {
-    // Readers accept every version up to the current one; fields added
-    // since the document was written take their defaults.
     const int64_t v = j["gld_version"].as_int();
     if (v < 1 || v > kSerializeVersion)
         throw std::runtime_error(std::string(what) + ": unsupported "
@@ -21,6 +17,8 @@ check_version(const Json& j, const char* what)
                                  " (this build reads versions 1.." +
                                  std::to_string(kSerializeVersion) + ")");
 }
+
+namespace {
 
 uint64_t
 parse_hex64(const std::string& s, const char* what)

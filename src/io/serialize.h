@@ -56,6 +56,13 @@ namespace io {
  */
 constexpr int kSerializeVersion = 4;
 
+/**
+ * Throws std::runtime_error naming `what` unless j["gld_version"] is in
+ * [1, kSerializeVersion]: a reader accepts every version up to the
+ * current one, and fields added since take their defaults.
+ */
+void check_version(const Json& j, const char* what);
+
 /** IEEE-754 binary64 → "0x<16 hex digits>" (bit_cast, exact). */
 std::string f64_to_hex(double v);
 /** Inverse of f64_to_hex; throws std::runtime_error on malformed input. */

@@ -1,53 +1,9 @@
 #include "sim/batch_driver.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace gld {
-
-namespace {
-
-/** Spreads the low 8 bits of x to eight 0/1 bytes (byte k = bit k). */
-inline uint64_t
-spread_bits_to_bytes(uint64_t x)
-{
-    // Place bit k at bit 8k+k, add (0x80 - 2^k) per byte (no cross-byte
-    // carry: each byte holds at most 2^k + (0x80 - 2^k) = 0x80), then
-    // extract the per-byte 0x80 flag.
-    const uint64_t placed =
-        ((x & 0xFFu) * 0x0101010101010101ull) & 0x8040201008040201ull;
-    return (((placed + 0x00406070787C7E7Full) >> 7) &
-            0x0101010101010101ull);
-}
-
-/** Transposes an 8x8 byte matrix held as 8 row words: final row i's
- *  byte j = original row j's byte i. */
-inline void
-transpose8x8_bytes(uint64_t t[8])
-{
-    for (int j = 0; j < 8; j += 2) {
-        const uint64_t a = t[j], b = t[j + 1];
-        t[j] = (a & 0x00FF00FF00FF00FFull) |
-               ((b & 0x00FF00FF00FF00FFull) << 8);
-        t[j + 1] = ((a >> 8) & 0x00FF00FF00FF00FFull) |
-                   (b & 0xFF00FF00FF00FF00ull);
-    }
-    for (int j : {0, 1, 4, 5}) {
-        const uint64_t a = t[j], b = t[j + 2];
-        t[j] = (a & 0x0000FFFF0000FFFFull) |
-               ((b & 0x0000FFFF0000FFFFull) << 16);
-        t[j + 2] = ((a >> 16) & 0x0000FFFF0000FFFFull) |
-                   (b & 0xFFFF0000FFFF0000ull);
-    }
-    for (int j = 0; j < 4; ++j) {
-        const uint64_t a = t[j], b = t[j + 4];
-        t[j] = (a & 0x00000000FFFFFFFFull) | (b << 32);
-        t[j + 4] = (a >> 32) | (b & 0xFFFFFFFF00000000ull);
-    }
-}
-
-}  // namespace
 
 // Every decision site below mirrors sim/leakage_driver.cc (the scalar
 // reference implementation) statement for statement: the scalar control
@@ -67,7 +23,7 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
     // its event stream from the same master but draws a different
     // sequence (its own RNG contract; qualified statistically).
-    : code_(&code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
+    : BatchSimulator(code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
       rate_mlr_(np.mlr_err()), master_rng_(seed), words_(batch_words),
       sparse_(noise_sampling == NoiseSampling::kSparse)
 {
@@ -95,9 +51,9 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     }
     const int max_lanes = words_ * kBatchLanes;
     lane_lrc_.resize(static_cast<size_t>(max_lanes));
-    lane_oracles_.resize(static_cast<size_t>(max_lanes));
+    lane_oracles_.reserve(static_cast<size_t>(max_lanes));
     for (int l = 0; l < max_lanes; ++l)
-        lane_oracles_[static_cast<size_t>(l)].bind(this, l);
+        lane_oracles_.emplace_back(code, leaked_.data(), words_, l);
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
     // Sparse mode never reads the lane bank: its one event stream (armed
@@ -258,25 +214,6 @@ BatchFrameSim::measure_z(int q, LaneMask* out) const
     const size_t base = span(q);
     for (int w = 0; w < W; ++w)
         out[w] = fx_[base + static_cast<size_t>(w)];
-}
-
-int
-BatchFrameSim::LaneOracle::n_data_leaked() const
-{
-    int n = 0;
-    for (int q = 0; q < s_->code_->n_data(); ++q)
-        n += static_cast<int>(lane_bit(s_->leaked(q), lane_));
-    return n;
-}
-
-int
-BatchFrameSim::LaneOracle::n_check_leaked() const
-{
-    int n = 0;
-    for (int c = 0; c < s_->code_->n_checks(); ++c)
-        n += static_cast<int>(
-            lane_bit(s_->leaked(s_->code_->ancilla_of(c)), lane_));
-    return n;
 }
 
 uint64_t
@@ -821,60 +758,6 @@ BatchFrameSim::run_round_t(const LrcMasks& lrcs)
     first_round_ = false;
 }
 
-void
-BatchFrameSim::unpack_round(std::vector<RoundResult>* out) const
-{
-    const int n_checks = code_->n_checks();
-    const size_t Ws = static_cast<size_t>(words_);
-    // Every entry of every lane is (re)written below, so the vectors are
-    // only sized here — no zero-fill churn per round.
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l) {
-        RoundResult& rr = (*out)[static_cast<size_t>(l)];
-        if (rr.meas_flip.size() != static_cast<size_t>(n_checks)) {
-            rr.meas_flip.resize(static_cast<size_t>(n_checks));
-            rr.detector.resize(static_cast<size_t>(n_checks));
-            rr.mlr_flag.resize(static_cast<size_t>(n_checks));
-        }
-    }
-    // 8x8 tiles: spread each check word's 8-lane byte to 0/1 bytes, byte-
-    // transpose the tile, and store eight checks of one lane with a
-    // single 8-byte write — ~1 op/byte instead of a scalar bit-extract
-    // per (lane, check, array).  An 8-lane group g lives in word g/8 of
-    // each check's span, byte g%8.
-    const auto transpose_into =
-        [&](const std::vector<LaneMask>& words,
-            std::vector<uint8_t> RoundResult::*field) {
-            uint64_t tile[8];
-            for (int c0 = 0; c0 < n_checks; c0 += 8) {
-                const int cw = std::min(8, n_checks - c0);
-                for (int g = 0; g * 8 < n_lanes_; ++g) {
-                    const size_t wi = static_cast<size_t>(g >> 3);
-                    const int sh = 8 * (g & 7);
-                    for (int j = 0; j < 8; ++j) {
-                        const uint64_t w =
-                            j < cw ? words[static_cast<size_t>(c0 + j) *
-                                               Ws +
-                                           wi]
-                                   : 0;
-                        tile[j] = spread_bits_to_bytes(w >> sh);
-                    }
-                    transpose8x8_bytes(tile);
-                    const int lw = std::min(8, n_lanes_ - g * 8);
-                    for (int i = 0; i < lw; ++i) {
-                        RoundResult& rr =
-                            (*out)[static_cast<size_t>(8 * g + i)];
-                        std::memcpy((rr.*field).data() + c0, &tile[i],
-                                    static_cast<size_t>(cw));
-                    }
-                }
-            }
-        };
-    transpose_into(meas_flip_, &RoundResult::meas_flip);
-    transpose_into(det_scratch_, &RoundResult::detector);
-    transpose_into(mlr_flag_, &RoundResult::mlr_flag);
-}
-
 // One words_ dispatch per round (not per op) picks a compile-time-width
 // body: the W loops unroll away, and at the common W=1 every span op
 // degenerates to single-word straight-line code.
@@ -888,21 +771,6 @@ BatchFrameSim::run_round_masks(const LrcMasks& lrcs)
       case 8: run_round_t<8>(lrcs); break;
       default: run_round_t<0>(lrcs); break;
     }
-}
-
-void
-BatchFrameSim::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                    std::vector<RoundResult>* out)
-{
-    if (lane_lrcs.size() < static_cast<size_t>(n_lanes_))
-        throw std::invalid_argument(
-            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
-            " schedules for " + std::to_string(n_lanes_) + " lanes");
-    pack_scratch_.reset(code_->n_data(), code_->n_checks(), words_);
-    for (int l = 0; l < n_lanes_; ++l)
-        pack_scratch_.add_lane(l, lane_lrcs[static_cast<size_t>(l)]);
-    run_round_masks(pack_scratch_);
-    unpack_round(out);
 }
 
 template <int WT>
@@ -973,27 +841,6 @@ BatchFrameSim::final_data_measure_words()
       default: final_measure_t<0>(); break;
     }
     return final_flip_.data();
-}
-
-// --- Scalar adapters: lane 0 of a one-lane batch. ---
-
-RoundResult
-BatchFrameSim::run_round(const LrcSchedule& lrcs)
-{
-    one_lrcs_[0] = lrcs;
-    run_round_batch(one_lrcs_, &one_round_);
-    return one_round_[0];
-}
-
-std::vector<uint8_t>
-BatchFrameSim::final_data_measure()
-{
-    const LaneMask* flips = final_data_measure_words();
-    std::vector<uint8_t> out(static_cast<size_t>(code_->n_data()));
-    for (int q = 0; q < code_->n_data(); ++q)
-        out[static_cast<size_t>(q)] =
-            static_cast<uint8_t>(flips[span(q)] & 1u);
-    return out;
 }
 
 }  // namespace gld

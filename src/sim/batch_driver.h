@@ -318,9 +318,9 @@ struct LaneRate {
  * the cross-backend gate (frame vs batch_frame Metrics must be
  * bit-identical at every K, tier-1) is what catches a fork.
  *
- * The scalar Simulator calls run one lane wide (lane 0 of a one-lane
- * batch), so the same object serves the interface tests and the runner's
- * block loop.
+ * The scalar Simulator calls are BatchSimulator's lane-0 adapter over
+ * the batch entry points, so the same object serves the interface tests
+ * and the runner's block loop.
  */
 class BatchFrameSim final : public BatchSimulator {
   public:
@@ -340,7 +340,7 @@ class BatchFrameSim final : public BatchSimulator {
                   const NoiseParams& np, uint64_t seed, int batch_words = 1,
                   NoiseSampling noise_sampling = NoiseSampling::kLockstep);
 
-    // Non-copyable: the lane oracles point back at this object.
+    // Non-copyable: the lane oracles point into this object's leak words.
     BatchFrameSim(const BatchFrameSim&) = delete;
     BatchFrameSim& operator=(const BatchFrameSim&) = delete;
 
@@ -359,6 +359,7 @@ class BatchFrameSim final : public BatchSimulator {
      * full low word, a partial high word, empty words above).
      */
     void reset_shot_batch(int n_lanes) override;
+    int batch_lanes() const override { return n_lanes_; }
 
     /**
      * Restores the just-constructed state under the master Rng(seed):
@@ -411,23 +412,13 @@ class BatchFrameSim final : public BatchSimulator {
     void run_round_masks(const LrcMasks& lrcs) override;
 
     /**
-     * The per-lane-schedule form of run_round_masks: packs lane l's
-     * schedule (l < the batch's lane count; lists strictly ascending,
-     * see LrcMasks::add_lane), runs the round and unpacks it into `out`.
-     */
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out) override;
-
-    /**
      * Transversal Z-basis readout of all data qubits for every active
      * lane.  Returns the outcome-flip words, one span per data qubit
      * (entry q*batch_n_words()+w), valid until the next call.
      */
     const LaneMask* final_data_measure_words() override;
 
-    // --- Scalar Simulator API: lane 0 of a one-lane batch. ---
-    void reset_shot() override { reset_shot_batch(1); }
-    void inject_data_leak(int q) override { set_leak_lane(q, 0); }
+    // --- The rest of the scalar Simulator API: lane 0. ---
     void inject_check_leak(int c) override
     {
         set_leak_lane(code_->ancilla_of(c), 0);
@@ -439,8 +430,6 @@ class BatchFrameSim final : public BatchSimulator {
     {
         return lane_oracle(0);
     }
-    RoundResult run_round(const LrcSchedule& lrcs) override;
-    std::vector<uint8_t> final_data_measure() override;
 
     /** A scalar LeakageOracle view of one lane's shot. */
     const LeakageOracle& lane_oracle(int lane) const
@@ -449,30 +438,6 @@ class BatchFrameSim final : public BatchSimulator {
     }
 
   private:
-    /** LeakageOracle adapter for one lane of the batch. */
-    class LaneOracle final : public LeakageOracle {
-      public:
-        void bind(const BatchFrameSim* s, int lane)
-        {
-            s_ = s;
-            lane_ = lane;
-        }
-        bool data_leaked(int q) const override
-        {
-            return lane_bit(s_->leaked(q), lane_);
-        }
-        bool check_leaked(int c) const override
-        {
-            return lane_bit(s_->leaked(s_->code_->ancilla_of(c)), lane_);
-        }
-        int n_data_leaked() const override;
-        int n_check_leaked() const override;
-
-      private:
-        const BatchFrameSim* s_ = nullptr;
-        int lane_ = 0;
-    };
-
     /** Offset of qubit (or check) q's K-word span in a per-qubit array. */
     size_t span(int q) const
     {
@@ -483,7 +448,7 @@ class BatchFrameSim final : public BatchSimulator {
     const LaneMask* leaked(int q) const { return &leaked_[span(q)]; }
 
     // Leak-flag updates: span forms for the round's word-wide sites,
-    // one-hot lane forms for the scalar adapters and the per-lane LRC
+    // one-hot lane forms for the lane injections and the per-lane LRC
     // gadgets.
     template <int WT> void set_leak(int q, const LaneMask* lanes);
     void clear_leak_span(int q, const LaneMask* lanes)
@@ -612,10 +577,6 @@ class BatchFrameSim final : public BatchSimulator {
     template <int WT> void run_round_t(const LrcMasks& lrcs);
     template <int WT> void final_measure_t();
 
-    /** Unpacks the last round's words into per-lane RoundResults. */
-    void unpack_round(std::vector<RoundResult>* out) const;
-
-    const CssCode* code_;
     const RoundCircuit* rc_;
     NoiseParams np_;
     LaneRate rate_p_;    ///< np.p, preprocessed for word-wide draws
@@ -645,13 +606,8 @@ class BatchFrameSim final : public BatchSimulator {
     /// Per-lane LRC gadget lists of the current round (data qubit q as
     /// q, check c as n_data + c), ascending: the lane-major apply order.
     std::vector<std::vector<int>> lane_lrc_;
-    LrcMasks pack_scratch_;  ///< run_round_batch's packed schedules
     std::vector<int> lrc_partner_;
-    std::vector<LaneOracle> lane_oracles_;
-
-    // Scratch for the scalar API adapters (reused across rounds).
-    std::vector<LrcSchedule> one_lrcs_{1};
-    std::vector<RoundResult> one_round_;
+    std::vector<LaneLeakOracle> lane_oracles_;  ///< one per lane
 };
 
 }  // namespace gld

@@ -85,17 +85,6 @@ LeakageDriver::n_check_leaked() const
 }
 
 void
-LeakageDriver::add_leak_occupancy(uint64_t* data_row, int n_data,
-                                  uint64_t* check_row, int n_checks) const
-{
-    for (int q = 0; q < n_data; ++q)
-        data_row[q] += leaked_[static_cast<size_t>(q)];
-    for (int c = 0; c < n_checks; ++c)
-        check_row[c] +=
-            leaked_[static_cast<size_t>(code_->ancilla_of(c))];
-}
-
-void
 LeakageDriver::depolarize1(int q)
 {
     if (!rng_.bernoulli(np_.p))
@@ -318,7 +307,7 @@ LeakageDriver::final_data_measure()
 LeakageDriverSim::LeakageDriverSim(const CssCode& code,
                                    const RoundCircuit& rc,
                                    const NoiseParams& np, Rng noise_rng)
-    : driver_(code, rc, np, noise_rng, this),
+    : BatchSimulator(code), driver_(code, rc, np, noise_rng, this),
       det_(static_cast<size_t>(code.n_checks()), 0),
       meas_(static_cast<size_t>(code.n_checks()), 0),
       mlr_(static_cast<size_t>(code.n_checks()), 0),
@@ -334,21 +323,6 @@ LeakageDriverSim::round(const LrcSchedule& lrcs)
     std::copy(rr_.detector.begin(), rr_.detector.end(), det_.begin());
     std::copy(rr_.meas_flip.begin(), rr_.meas_flip.end(), meas_.begin());
     std::copy(rr_.mlr_flag.begin(), rr_.mlr_flag.end(), mlr_.begin());
-}
-
-RoundResult
-LeakageDriverSim::run_round(const LrcSchedule& lrcs)
-{
-    round(lrcs);
-    return rr_;
-}
-
-std::vector<uint8_t>
-LeakageDriverSim::final_data_measure()
-{
-    std::vector<uint8_t> flips = driver_.final_data_measure();
-    std::copy(flips.begin(), flips.end(), final_.begin());
-    return flips;
 }
 
 void
@@ -378,19 +352,11 @@ LeakageDriverSim::run_round_masks(const LrcMasks& lrcs)
     round(sched_);
 }
 
-void
-LeakageDriverSim::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                  std::vector<RoundResult>* out)
-{
-    round(lane_lrcs.at(0));
-    out->resize(1);
-    (*out)[0] = rr_;
-}
-
 const LaneMask*
 LeakageDriverSim::final_data_measure_words()
 {
-    final_data_measure();
+    const std::vector<uint8_t> flips = driver_.final_data_measure();
+    std::copy(flips.begin(), flips.end(), final_.begin());
     return final_.data();
 }
 

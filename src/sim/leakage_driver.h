@@ -160,12 +160,6 @@ class LeakageDriver final : public LeakageOracle {
     }
     int n_data_leaked() const override;
     int n_check_leaked() const override;
-    /** Heatmap row accumulation as one pass over the flag array (the
-     *  layout is data qubits [0, n_data) then ancillas, so both halves
-     *  come from a single walk instead of 2 x n virtual calls). */
-    void add_leak_occupancy(uint64_t* data_row, int n_data,
-                            uint64_t* check_row,
-                            int n_checks) const override;
 
     /**
      * Applies the scheduled LRC gadgets (start-of-round semantics), then
@@ -218,15 +212,14 @@ class LeakageDriver final : public LeakageOracle {
  * construction — a third backend is a primitives provider, not a
  * re-implementation of the round dynamics.
  *
- * It is also a one-lane BatchSimulator (width 1, K = 1), so the runner
- * drives frame and tableau through the same block loop as the packed
- * batch_frame backend: the leak words are the driver's flag array, the round
- * words are packed from each RoundResult, and run_round_masks unpacks
- * lane 0's schedule.
+ * It is a one-lane BatchSimulator (width 1, K = 1): the leak words are
+ * the driver's flag array, run_round_masks runs lane 0's schedule through
+ * the driver and copies the RoundResult into the round words.  The scalar
+ * Simulator calls come from BatchSimulator's lane-0 adapter, like every
+ * backend's.
  */
 class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
-    void reset_shot() final { driver_.reset_shot(); }
     /**
      * Default reuse reset for backends whose only randomness is the
      * driver's (the frame backend): fresh construction passes Rng(seed)
@@ -239,17 +232,15 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     {
         driver_.reset_for_block(Rng(seed));
     }
-    void inject_data_leak(int q) final { driver_.set_leak(q); }
     void inject_check_leak(int c) final { driver_.set_check_leak(c); }
     void inject_x(int q) final { apply_pauli(q, kPauliX); }
     void inject_z(int q) final { apply_pauli(q, kPauliZ); }
     void clear_leak(int q) final { driver_.clear_leak(q); }
     const LeakageOracle& leak_oracle() const final { return driver_; }
-    RoundResult run_round(const LrcSchedule& lrcs) final;
-    std::vector<uint8_t> final_data_measure() final;
 
     // --- BatchSimulator: one lane, one word. ---
     int batch_width() const final { return 1; }
+    int batch_lanes() const final { return 1; }
     int batch_n_words() const final { return 1; }
     void reset_shot_batch(int n_lanes) final;
     void inject_data_leak_lane(int lane, int q) final;
@@ -261,8 +252,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     const LaneMask* meas_flip_words() const final { return meas_.data(); }
     const LaneMask* mlr_flag_words() const final { return mlr_.data(); }
     void run_round_masks(const LrcMasks& lrcs) final;
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out) final;
     const LaneMask* final_data_measure_words() final;
 
     /** The LRC partner ancilla (check index) used for data qubit q. */

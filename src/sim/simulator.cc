@@ -138,18 +138,96 @@ LrcMasks::lane_schedule(int lane, LrcSchedule* out) const
     lane_list(checks, lane, n_words, &out->checks);
 }
 
-void
-LeakageOracle::add_leak_occupancy(uint64_t* data_row, int n_data,
-                                  uint64_t* check_row, int n_checks) const
+int
+LaneLeakOracle::n_data_leaked() const
 {
-    for (int q = 0; q < n_data; ++q) {
-        if (data_leaked(q))
-            ++data_row[q];
+    int n = 0;
+    for (int q = 0; q < code_->n_data(); ++q)
+        n += data_leaked(q) ? 1 : 0;
+    return n;
+}
+
+int
+LaneLeakOracle::n_check_leaked() const
+{
+    int n = 0;
+    for (int c = 0; c < code_->n_checks(); ++c)
+        n += check_leaked(c) ? 1 : 0;
+    return n;
+}
+
+void
+unpack_lane(const RoundWords& in, int n_checks, int lane, RoundResult* out)
+{
+    const size_t n = static_cast<size_t>(n_checks);
+    const size_t K = static_cast<size_t>(in.n_words);
+    const size_t w = static_cast<size_t>(lane >> 6);
+    const int b = lane & 63;
+    const auto bit = [&](const LaneMask* words, size_t c) {
+        return static_cast<uint8_t>((words[c * K + w] >> b) & 1u);
+    };
+    out->detector.resize(n);
+    out->meas_flip.resize(n);
+    out->mlr_flag.resize(n);
+    for (size_t c = 0; c < n; ++c) {
+        out->detector[c] = bit(in.detector, c);
+        out->mlr_flag[c] = bit(in.mlr_flag, c);
+        out->meas_flip[c] = in.meas_flip != nullptr ? bit(in.meas_flip, c)
+                                                    : 0;
     }
-    for (int c = 0; c < n_checks; ++c) {
-        if (check_leaked(c))
-            ++check_row[c];
-    }
+}
+
+RoundWords
+BatchSimulator::last_round() const
+{
+    RoundWords in;
+    in.n_words = batch_n_words();
+    in.detector = detector_words();
+    in.mlr_flag = mlr_flag_words();
+    in.meas_flip = meas_flip_words();
+    return in;
+}
+
+void
+BatchSimulator::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                                std::vector<RoundResult>* out)
+{
+    const int n_lanes = batch_lanes();
+    if (lane_lrcs.size() < static_cast<size_t>(n_lanes))
+        throw std::invalid_argument(
+            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
+            " schedules for " + std::to_string(n_lanes) + " lanes");
+    masks_.reset(code_->n_data(), code_->n_checks(), batch_n_words());
+    for (int l = 0; l < n_lanes; ++l)
+        masks_.add_lane(l, lane_lrcs[static_cast<size_t>(l)]);
+    run_round_masks(masks_);
+    const RoundWords words = last_round();
+    out->resize(static_cast<size_t>(n_lanes));
+    for (int l = 0; l < n_lanes; ++l)
+        unpack_lane(words, code_->n_checks(), l,
+                    &(*out)[static_cast<size_t>(l)]);
+}
+
+RoundResult
+BatchSimulator::run_round(const LrcSchedule& lrcs)
+{
+    masks_.reset(code_->n_data(), code_->n_checks(), batch_n_words());
+    masks_.add_lane(0, lrcs);
+    run_round_masks(masks_);
+    RoundResult rr;
+    unpack_lane(last_round(), code_->n_checks(), 0, &rr);
+    return rr;
+}
+
+std::vector<uint8_t>
+BatchSimulator::final_data_measure()
+{
+    const LaneMask* flips = final_data_measure_words();
+    const size_t K = static_cast<size_t>(batch_n_words());
+    std::vector<uint8_t> out(static_cast<size_t>(code_->n_data()));
+    for (size_t q = 0; q < out.size(); ++q)
+        out[q] = static_cast<uint8_t>(flips[q * K] & 1u);
+    return out;
 }
 
 const char*

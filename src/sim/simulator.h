@@ -104,10 +104,18 @@ struct RoundWords {
 };
 
 /**
- * Ground-truth view of the classical leakage state.  There is exactly one
- * implementation — the shared LeakageDriver — so the oracle the runner's
- * speculation accounting and the IDEAL policy read is the same object on
- * every backend, by construction.
+ * Copies lane `lane`'s bits of the n_checks check spans of `in` into
+ * `out` (meas_flip reads as zero when in.meas_flip is null).
+ */
+void unpack_lane(const RoundWords& in, int n_checks, int lane,
+                 RoundResult* out);
+
+/**
+ * Ground-truth view of the classical leakage state, as the per-shot
+ * policy interface reads it.  Two implementations exist: the shared
+ * LeakageDriver (a one-lane backend's flag array) and LaneLeakOracle (one
+ * lane of a leak-word span).  Neither keeps flags of its own: both read
+ * the state the backend's round dynamics wrote.
  */
 class LeakageOracle {
   public:
@@ -119,20 +127,51 @@ class LeakageOracle {
     virtual int n_data_leaked() const = 0;
     /** Number of currently-leaked ancilla qubits. */
     virtual int n_check_leaked() const = 0;
+};
 
-    /**
-     * Telemetry hook (src/telemetry/): adds 1 to data_row[q] for every
-     * currently-leaked data qubit q in [0, n_data) and to check_row[c]
-     * for every leaked check ancilla c in [0, n_checks) — one row of the
-     * per-qubit x per-round leakage-occupancy heatmap.  Pure read of the
-     * ground-truth flags: never draws randomness, never mutates state,
-     * so attaching it cannot perturb a run (the telemetry drift gate
-     * pins this).  The default walks the boolean oracle interface;
-     * LeakageDriver overrides it with a direct pass over its flag array.
-     */
-    virtual void add_leak_occupancy(uint64_t* data_row, int n_data,
-                                    uint64_t* check_row,
-                                    int n_checks) const;
+/**
+ * LeakageOracle view of lane `lane` of a K-word leak-word span: the
+ * layout of BatchSimulator::leaked_words(), where entry q*K+w is word w of
+ * qubit q (data qubits first, then ancillas) and bit l of word w is lane
+ * w*64+l.  A null span reads as nothing leaked.
+ */
+class LaneLeakOracle final : public LeakageOracle {
+  public:
+    LaneLeakOracle(const CssCode& code, const LaneMask* words, int n_words,
+                   int lane)
+        : code_(&code), words_(words), n_words_(n_words), lane_(lane)
+    {
+    }
+
+    /** Points the view at another span of the same layout. */
+    void bind(const LaneMask* words, int n_words)
+    {
+        words_ = words;
+        n_words_ = n_words;
+    }
+
+    bool data_leaked(int q) const override { return leaked(q); }
+    bool check_leaked(int c) const override
+    {
+        return leaked(code_->ancilla_of(c));
+    }
+    int n_data_leaked() const override;
+    int n_check_leaked() const override;
+
+  private:
+    bool leaked(int q) const
+    {
+        if (words_ == nullptr)
+            return false;
+        const LaneMask* span =
+            words_ + static_cast<size_t>(q) * static_cast<size_t>(n_words_);
+        return (span[lane_ >> 6] >> (lane_ & 63)) & 1u;
+    }
+
+    const CssCode* code_;
+    const LaneMask* words_;
+    int n_words_;
+    int lane_;
 };
 
 /**
@@ -215,12 +254,13 @@ class Simulator {
 };
 
 /**
- * Every backend is a BatchSimulator: the full scalar Simulator API
- * (scalar calls address lane 0) plus the lockstep batch entry points
- * the runner drives a whole shot block through.  The packed batch_frame
- * backend holds batch_words*64 lanes; the scalar frame and tableau
- * engines are one-lane batches (width 1, K = 1), so the runner has a
- * single block loop for every backend.
+ * Every backend is a BatchSimulator: the lockstep batch entry points the
+ * runner drives a whole shot block through, plus the scalar Simulator
+ * API implemented once on top of them (scalar calls address lane 0).
+ * The packed batch_frame backend holds batch_words*64 lanes; the scalar
+ * frame and tableau engines are one-lane batches (width 1, K = 1), so
+ * the runner has a single block loop for every backend and a backend
+ * implements only the batch entry points.
  */
 class BatchSimulator : public Simulator {
   public:
@@ -233,6 +273,9 @@ class BatchSimulator : public Simulator {
      * std::invalid_argument).
      */
     virtual void reset_shot_batch(int n_lanes) = 0;
+
+    /** Lanes of the current batch (1 before the first reset_shot_batch). */
+    virtual int batch_lanes() const = 0;
 
     /**
      * Forces lane `lane`'s data qubit q into the leaked state (a
@@ -255,10 +298,9 @@ class BatchSimulator : public Simulator {
     /**
      * Round words of the last round, one span per check (entry
      * c*batch_n_words()+w; bit l of word w = lane w*64+l) — the bits
-     * run_round_batch unpacks into each lane's RoundResult, read
-     * without the per-lane transpose.  Bits of lanes outside the batch
-     * are unspecified; mask them.  A freshly constructed backend's
-     * words are zero.
+     * run_round_batch unpacks into each lane's RoundResult.  Bits of
+     * lanes outside the batch are unspecified; mask them.  A freshly
+     * constructed backend's words are zero.
      */
     virtual const LaneMask* detector_words() const = 0;
     virtual const LaneMask* meas_flip_words() const = 0;
@@ -272,17 +314,40 @@ class BatchSimulator : public Simulator {
     virtual void run_round_masks(const LrcMasks& lrcs) = 0;
 
     /**
-     * One lockstep round over every active lane, LRCs given as per-lane
-     * ascending schedules; the outcome is unpacked per lane.
-     */
-    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                 std::vector<RoundResult>* out) = 0;
-
-    /**
      * Lockstep final transversal readout of every active lane: outcome
      * flip words, one span per data qubit, valid until the next call.
      */
     virtual const LaneMask* final_data_measure_words() = 0;
+
+    /**
+     * One lockstep round over every active lane, LRCs given as per-lane
+     * schedules (one per lane of the batch, each strictly ascending —
+     * see LrcMasks::add_lane): packs them, runs run_round_masks and
+     * unpacks every lane's RoundResult from the round words.
+     */
+    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                         std::vector<RoundResult>* out);
+
+    // --- Scalar Simulator API: lane 0 of the batch entry points. ---
+    void reset_shot() final { reset_shot_batch(1); }
+    void inject_data_leak(int q) final { inject_data_leak_lane(0, q); }
+    /**
+     * Runs lrcs (strictly ascending, see LrcMasks::add_lane) as lane 0's
+     * schedule; any other active lane gets no LRCs.
+     */
+    RoundResult run_round(const LrcSchedule& lrcs) final;
+    std::vector<uint8_t> final_data_measure() final;
+
+  protected:
+    explicit BatchSimulator(const CssCode& code) : code_(&code) {}
+
+    const CssCode* code_;
+
+  private:
+    /** The last round's words (no active mask, no leak words). */
+    RoundWords last_round() const;
+
+    LrcMasks masks_;  ///< the scalar and per-lane schedules, packed
 };
 
 /**

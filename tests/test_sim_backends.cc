@@ -870,6 +870,103 @@ TEST(OneLaneBatch, WordsMatchTheScalarCallsOfASameSeedTwin)
     }
 }
 
+// --- The lane-0 adapter: the scalar calls over the batch entry points. ---
+
+TEST(LaneZeroAdapter, UnorderedScalarSchedulesAreRefusedOnEveryBackend)
+{
+    // Every backend's scalar run_round packs lane 0 with
+    // LrcMasks::add_lane, so a descending, repeated or out-of-range list
+    // is refused the same way everywhere — before any draw, so a twin
+    // that never saw the refused calls stays in lockstep.
+    const Harness h(SurfaceCode::make(3));
+    const NoiseParams np = NoiseParams::standard(5e-3, 1.0);
+    std::vector<LrcSchedule> bad(5);
+    bad[0].data_qubits = {3, 1};
+    bad[1].data_qubits = {2, 2};
+    bad[2].checks = {4, 0};
+    bad[3].checks = {1, 1};
+    bad[4].data_qubits = {h.code.n_data()};
+    LrcSchedule ok;
+    ok.data_qubits = {1, 3};
+    ok.checks = {0, 4};
+    for (SimBackend b : kBackends) {
+        SCOPED_TRACE(backend_name(b));
+        const auto sim = make_simulator(b, h.code, h.rc, np, 5);
+        const auto twin = make_simulator(b, h.code, h.rc, np, 5);
+        sim->reset_shot();
+        twin->reset_shot();
+        std::vector<RoundResult> out;
+        for (const LrcSchedule& s : bad) {
+            EXPECT_THROW(sim->run_round(s), std::invalid_argument);
+            EXPECT_THROW(sim->run_round_batch({s}, &out),
+                         std::invalid_argument);
+        }
+        EXPECT_THROW(sim->run_round_batch({}, &out), std::invalid_argument);
+        for (int r = 0; r < 3; ++r) {
+            const RoundResult got = sim->run_round(ok);
+            const RoundResult want = twin->run_round(ok);
+            EXPECT_EQ(got.detector, want.detector);
+            EXPECT_EQ(got.meas_flip, want.meas_flip);
+            EXPECT_EQ(got.mlr_flag, want.mlr_flag);
+        }
+    }
+}
+
+TEST(LaneZeroAdapter, LaneLeakOracleMatchesLeakWordPopcountsAtK2)
+{
+    // LaneLeakOracle over batch_frame's K = 2 leak words must count what
+    // popcounts of the words count, at both edges of both words.
+    const Harness h(SurfaceCode::make(5));
+    const NoiseParams np = NoiseParams::standard(1e-2, 1.0);
+    const auto sim =
+        make_simulator(SimBackend::kBatchFrame, h.code, h.rc, np, 11, 2);
+    const int K = sim->batch_n_words();
+    ASSERT_EQ(K, 2);
+    const int n_data = h.code.n_data();
+    const int n_checks = h.code.n_checks();
+    const int lanes[] = {0, 63, 64, 127};
+    sim->reset_shot_batch(128);
+    for (int i = 0; i < 4; ++i)
+        sim->inject_data_leak_lane(lanes[i], 2 * i);
+    LrcMasks none;
+    none.reset(n_data, n_checks, K);
+    for (int r = 0; r < 5; ++r)
+        sim->run_round_masks(none);
+    const LaneMask* words = sim->leaked_words();
+    int total = 0;
+    for (int lane : lanes) {
+        SCOPED_TRACE(lane);
+        const LaneLeakOracle oracle(h.code, words, K, lane);
+        const size_t w = static_cast<size_t>(lane >> 6);
+        const LaneMask bit = 1ull << (lane & 63);
+        const auto count = [&](int q) {
+            return __builtin_popcountll(
+                words[static_cast<size_t>(q) * static_cast<size_t>(K) + w] &
+                bit);
+        };
+        int want_data = 0;
+        for (int q = 0; q < n_data; ++q) {
+            EXPECT_EQ(oracle.data_leaked(q), count(q) == 1) << q;
+            want_data += count(q);
+        }
+        int want_check = 0;
+        for (int c = 0; c < n_checks; ++c) {
+            EXPECT_EQ(oracle.check_leaked(c),
+                      count(h.code.ancilla_of(c)) == 1)
+                << c;
+            want_check += count(h.code.ancilla_of(c));
+        }
+        EXPECT_EQ(oracle.n_data_leaked(), want_data);
+        EXPECT_EQ(oracle.n_check_leaked(), want_check);
+        if (lane == 0) {
+            EXPECT_EQ(sim->n_data_leaked(), want_data);
+            EXPECT_EQ(sim->n_check_leaked(), want_check);
+        }
+        total += want_data + want_check;
+    }
+    EXPECT_GT(total, 0);  // the injected leaks are still visible
+}
+
 // --- Scalar-backend golden digest. ---
 //
 // frame is pinned to batch_frame by the bit-equality gates above, but
