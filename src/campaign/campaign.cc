@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -438,6 +439,62 @@ heatmap_path(const std::string& out_dir, const CampaignSpec& spec,
 
 namespace {
 
+/**
+ * Why per-stream Metrics `m` cannot be stream `stream` of a run of
+ * `cfg` — the first contradicting field — or "" when nothing does: the
+ * stream runs its share of cfg.shots, each for cfg.rounds rounds,
+ * decoded iff compute_ler, with one DLP entry per round iff recorded,
+ * and every total counts events.
+ */
+std::string
+stream_metrics_mismatch(const Metrics& m, const ExperimentConfig& cfg,
+                        int stream)
+{
+    const long shots = ExperimentRunner::stream_shots(cfg, stream);
+    const long rounds = cfg.rounds;
+    const struct {
+        const char* field;
+        long got, want;
+    } counts[] = {
+        {"shots", m.shots, shots},
+        {"rounds_per_shot", m.rounds_per_shot, rounds},
+        {"decoded_shots", m.decoded_shots, cfg.compute_ler ? shots : 0},
+        {"dlp_series length", static_cast<long>(m.dlp_series.size()),
+         cfg.record_dlp_series ? rounds : 0},
+    };
+    for (const auto& c : counts) {
+        if (c.got != c.want)
+            return std::string(c.field) + " = " + std::to_string(c.got) +
+                   ", want " + std::to_string(c.want);
+    }
+    if (m.logical_errors > m.decoded_shots)
+        return "logical_errors = " + std::to_string(m.logical_errors) +
+               ", more than decoded_shots";
+    const auto bad = [](double v) { return !std::isfinite(v) || v < 0; };
+    const auto refuse = [](const std::string& field, double v) {
+        return field + " = " + std::to_string(v) + ", not a finite count";
+    };
+    const std::pair<const char*, double> totals[] = {
+        {"fn_total", m.fn_total},
+        {"fp_total", m.fp_total},
+        {"tp_total", m.tp_total},
+        {"lrc_data_total", m.lrc_data_total},
+        {"lrc_check_total", m.lrc_check_total},
+        {"dlp_total", m.dlp_total},
+        {"check_leak_total", m.check_leak_total},
+    };
+    for (const auto& [field, v] : totals) {
+        if (bad(v))
+            return refuse(field, v);
+    }
+    for (size_t r = 0; r < m.dlp_series.size(); ++r) {
+        if (bad(m.dlp_series[r]))
+            return refuse("dlp_series[" + std::to_string(r) + "]",
+                          m.dlp_series[r]);
+    }
+    return "";
+}
+
 /** True if `path` holds a completed, up-to-date shard result. */
 bool
 shard_result_valid(const std::string& path, const CampaignSpec& spec,
@@ -472,7 +529,15 @@ shard_result_valid(const std::string& path, const CampaignSpec& spec,
         if (jstreams.size() != want_streams.size())
             return false;
         for (size_t i = 0; i < jstreams.size(); ++i) {
-            if (jstreams.at(i)["stream"].as_int() != want_streams[i])
+            const Json& entry = jstreams.at(i);
+            if (entry["stream"].as_int() != want_streams[i])
+                return false;
+            // A file whose Metrics contradict the job is stale, however
+            // it got that way: recompute it.
+            if (!stream_metrics_mismatch(
+                     io::metrics_from_json(entry["metrics"]), job.cfg,
+                     want_streams[i])
+                     .empty())
                 return false;
         }
         return true;
@@ -638,10 +703,10 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     const bool verbose = opt.verbose;
     const int jobs_parallel = opt.jobs_parallel;
 
-    // Telemetry is a pure side channel end to end: with it off (or
-    // compiled out) this function produces byte-identical result files
-    // along the exact pre-telemetry code path.
-    const bool use_telemetry = opt.telemetry && telemetry::kCompiledIn;
+    // Telemetry is a pure side channel end to end: with it off this
+    // function produces byte-identical result files along the exact
+    // pre-telemetry code path.
+    const bool use_telemetry = opt.telemetry;
     std::unique_ptr<ProgressTracker> tracker;
     if (use_telemetry)
         tracker = std::make_unique<ProgressTracker>(
@@ -883,8 +948,15 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
                                              std::to_string(job.index) +
                                              " appears in two shard files");
                 seen[static_cast<size_t>(s)] = 1;
-                parts[static_cast<size_t>(s)] =
-                    io::metrics_from_json(entry["metrics"]);
+                Metrics& part = parts[static_cast<size_t>(s)];
+                part = io::metrics_from_json(entry["metrics"]);
+                const std::string why =
+                    stream_metrics_mismatch(part, job.cfg, s);
+                if (!why.empty())
+                    throw std::runtime_error(
+                        "merge: " + path + " stream " + std::to_string(s) +
+                        " contradicts job " + std::to_string(job.index) +
+                        ": " + why + "; re-run that shard");
             }
         }
         for (int s = 0; s < total; ++s) {

@@ -65,7 +65,7 @@ struct PerLanePolicy::Lane {
     }
 
     std::unique_ptr<Policy> policy;
-    LaneLeakOracle oracle;  ///< bound to each round's leak words
+    LeakageOracle oracle;  ///< bound to each round's leak words
 };
 
 PerLanePolicy::PerLanePolicy(const CodeContext& ctx, Maker make,

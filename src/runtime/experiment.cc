@@ -89,10 +89,9 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
     // Telemetry is a pure side channel: the StageClock and the counters
     // below never draw randomness and never feed a result-bearing sum,
-    // and every call is a no-op when `telem` is null (always the case
-    // with telemetry compiled out or no collector attached).  The
-    // heatmap and the leak histogram are read off the ground-truth leak
-    // words, a read-only view of the driver's flags.
+    // and every call is a no-op when `telem` is null (no collector
+    // attached).  The heatmap and the leak histogram are read off the
+    // ground-truth leak words, a read-only view of the backend's flags.
     telemetry::StageClock clock(telem);
 
     Metrics m;
@@ -498,8 +497,7 @@ ExperimentRunner::run_partials(const PolicyFactory& factory,
     // in (stream, block) order, so the deterministic aggregates (shot /
     // round counts, leak histogram, heatmap) are as thread-count-
     // independent as the Metrics themselves.
-    telemetry::Collector* collector =
-        telemetry::kCompiledIn ? telemetry_ : nullptr;
+    telemetry::Collector* collector = telemetry_;
     const int n_data = ctx_->code().n_data();
     const int n_checks = ctx_->code().n_checks();
 

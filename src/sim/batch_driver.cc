@@ -51,9 +51,6 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     }
     const int max_lanes = words_ * kBatchLanes;
     lane_lrc_.resize(static_cast<size_t>(max_lanes));
-    lane_oracles_.reserve(static_cast<size_t>(max_lanes));
-    for (int l = 0; l < max_lanes; ++l)
-        lane_oracles_.emplace_back(code, leaked_.data(), words_, l);
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
     // Sparse mode never reads the lane bank: its one event stream (armed

@@ -320,7 +320,9 @@ struct LaneRate {
  *
  * The scalar Simulator calls are BatchSimulator's lane-0 adapter over
  * the batch entry points, so the same object serves the interface tests
- * and the runner's block loop.
+ * and the runner's block loop.  The ground truth is the leak words
+ * alone: leak_oracle() is lane 0 of leaked_words(), and the runner and
+ * the word policies read every lane straight from the words.
  */
 class BatchFrameSim final : public BatchSimulator {
   public:
@@ -339,10 +341,6 @@ class BatchFrameSim final : public BatchSimulator {
     BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
                   const NoiseParams& np, uint64_t seed, int batch_words = 1,
                   NoiseSampling noise_sampling = NoiseSampling::kLockstep);
-
-    // Non-copyable: the lane oracles point into this object's leak words.
-    BatchFrameSim(const BatchFrameSim&) = delete;
-    BatchFrameSim& operator=(const BatchFrameSim&) = delete;
 
     std::string name() const override { return "batch_frame"; }
 
@@ -426,16 +424,6 @@ class BatchFrameSim final : public BatchSimulator {
     void inject_x(int q) override { fx_[span(q)] ^= 1; }
     void inject_z(int q) override { fz_[span(q)] ^= 1; }
     void clear_leak(int q) override { clear_leak_lane(q, 0); }
-    const LeakageOracle& leak_oracle() const override
-    {
-        return lane_oracle(0);
-    }
-
-    /** A scalar LeakageOracle view of one lane's shot. */
-    const LeakageOracle& lane_oracle(int lane) const
-    {
-        return lane_oracles_[static_cast<size_t>(lane)];
-    }
 
   private:
     /** Offset of qubit (or check) q's K-word span in a per-qubit array. */
@@ -607,7 +595,6 @@ class BatchFrameSim final : public BatchSimulator {
     /// q, check c as n_data + c), ascending: the lane-major apply order.
     std::vector<std::vector<int>> lane_lrc_;
     std::vector<int> lrc_partner_;
-    std::vector<LaneLeakOracle> lane_oracles_;  ///< one per lane
 };
 
 }  // namespace gld

@@ -12,9 +12,13 @@ LeakageDriver::LeakageDriver(const CssCode& code, const RoundCircuit& rc,
     : code_(&code), rc_(&rc), np_(np), master_rng_(noise_rng),
       rng_(noise_rng.split(0)), state_(state)
 {
-    const int nq = code.n_qubits();
-    leaked_.assign(static_cast<size_t>(nq), 0);
-    prev_meas_.assign(static_cast<size_t>(code.n_checks()), 0);
+    const size_t nc = static_cast<size_t>(code.n_checks());
+    leaked_.assign(static_cast<size_t>(code.n_qubits()), 0);
+    prev_meas_.assign(nc, 0);
+    meas_.assign(nc, 0);
+    mlr_.assign(nc, 0);
+    det_.assign(nc, 0);
+    final_.assign(static_cast<size_t>(code.n_data()), 0);
     // Fixed LRC partner per data qubit: its first adjacent check's ancilla.
     // Identical across backends by construction, so LRC-induced leak flow
     // (the pump-in mechanism of §3.3) matches everywhere.
@@ -63,25 +67,6 @@ LeakageDriver::set_leak(int q)
         return;
     leaked_[static_cast<size_t>(q)] = 1;
     state_->park_leaked(q);
-}
-
-int
-LeakageDriver::n_data_leaked() const
-{
-    int n = 0;
-    for (int q = 0; q < code_->n_data(); ++q)
-        n += static_cast<int>(leaked_[static_cast<size_t>(q)]);
-    return n;
-}
-
-int
-LeakageDriver::n_check_leaked() const
-{
-    int n = 0;
-    for (int c = 0; c < code_->n_checks(); ++c)
-        n += static_cast<int>(
-            leaked_[static_cast<size_t>(code_->ancilla_of(c))]);
-    return n;
 }
 
 void
@@ -195,30 +180,33 @@ LeakageDriver::apply_lrc_check(int c)
         set_leak(anc);
 }
 
-RoundResult
-LeakageDriver::run_round(const LrcSchedule& lrcs)
-{
-    RoundResult out;
-    run_round(lrcs, &out);
-    return out;
-}
-
 void
-LeakageDriver::run_round(const LrcSchedule& lrcs, RoundResult* out)
+LeakageDriver::run_round(const LrcMasks& lrcs)
 {
+    const int n_data = code_->n_data();
     const int n_checks = code_->n_checks();
-    out->meas_flip.assign(static_cast<size_t>(n_checks), 0);
-    out->detector.assign(static_cast<size_t>(n_checks), 0);
-    out->mlr_flag.assign(static_cast<size_t>(n_checks), 0);
+    if (lrcs.n_words != 1 ||
+        lrcs.data.size() != static_cast<size_t>(n_data) ||
+        lrcs.checks.size() != static_cast<size_t>(n_checks))
+        throw std::invalid_argument(
+            "LeakageDriver::run_round: masks not sized for this code at "
+            "one word (LrcMasks::reset)");
+    std::fill(meas_.begin(), meas_.end(), 0);
+    std::fill(mlr_.begin(), mlr_.end(), 0);
 
-    // 1. Scheduled LRC gadgets (decided by the policy last round).
-    for (int q : lrcs.data_qubits)
-        apply_lrc_data(q);
-    for (int c : lrcs.checks)
-        apply_lrc_check(c);
+    // 1. Lane 0's scheduled LRC gadgets (decided by the policy last
+    //    round), in the LrcMasks order.
+    for (int q = 0; q < n_data; ++q) {
+        if (lrcs.data[static_cast<size_t>(q)] & 1u)
+            apply_lrc_data(q);
+    }
+    for (int c = 0; c < n_checks; ++c) {
+        if (lrcs.checks[static_cast<size_t>(c)] & 1u)
+            apply_lrc_check(c);
+    }
 
     // 2. Round-start data noise: depolarization + environment leakage.
-    for (int q = 0; q < code_->n_data(); ++q) {
+    for (int q = 0; q < n_data; ++q) {
         depolarize1(q);
         leak_maybe(q);
     }
@@ -248,7 +236,7 @@ LeakageDriver::run_round(const LrcSchedule& lrcs, RoundResult* out)
             break;
           case OpType::kMeasure: {
             const int anc = op.q0;
-            uint8_t flip;
+            LaneMask flip = 0;
             if (leaked(anc)) {
                 // Two-level readout of a leaked qubit: random outcome.
                 flip = rng_.bit() ? 1 : 0;
@@ -257,12 +245,12 @@ LeakageDriver::run_round(const LrcSchedule& lrcs, RoundResult* out)
                 if (rng_.bernoulli(np_.p))
                     flip ^= 1;
             }
-            out->meas_flip[static_cast<size_t>(op.mslot)] = flip;
+            meas_[static_cast<size_t>(op.mslot)] = flip;
             // MLR leak flag with symmetric misclassification.
-            uint8_t leak_flag = leaked(anc) ? 1 : 0;
+            LaneMask leak_flag = leaked(anc) ? 1 : 0;
             if (rng_.bernoulli(np_.mlr_err()))
                 leak_flag ^= 1;
-            out->mlr_flag[static_cast<size_t>(op.mslot)] = leak_flag;
+            mlr_[static_cast<size_t>(op.mslot)] = leak_flag;
             break;
           }
         }
@@ -273,23 +261,21 @@ LeakageDriver::run_round(const LrcSchedule& lrcs, RoundResult* out)
         if (first_round_ && code_->check(c).type == CheckType::kX) {
             // Round-0 X-check outcomes are random projections in a Z-basis
             // memory; they carry no detector information.
-            out->detector[static_cast<size_t>(c)] = 0;
+            det_[static_cast<size_t>(c)] = 0;
         } else {
-            out->detector[static_cast<size_t>(c)] =
-                out->meas_flip[static_cast<size_t>(c)] ^
-                prev_meas_[static_cast<size_t>(c)];
+            det_[static_cast<size_t>(c)] = meas_[static_cast<size_t>(c)] ^
+                                           prev_meas_[static_cast<size_t>(c)];
         }
     }
-    prev_meas_ = out->meas_flip;
+    std::copy(meas_.begin(), meas_.end(), prev_meas_.begin());
     first_round_ = false;
 }
 
-std::vector<uint8_t>
+const LaneMask*
 LeakageDriver::final_data_measure()
 {
-    std::vector<uint8_t> flips(static_cast<size_t>(code_->n_data()), 0);
     for (int q = 0; q < code_->n_data(); ++q) {
-        uint8_t flip;
+        LaneMask flip = 0;
         if (leaked(q)) {
             flip = rng_.bit() ? 1 : 0;
         } else {
@@ -297,9 +283,9 @@ LeakageDriver::final_data_measure()
             if (rng_.bernoulli(np_.p))
                 flip ^= 1;
         }
-        flips[static_cast<size_t>(q)] = flip;
+        final_[static_cast<size_t>(q)] = flip;
     }
-    return flips;
+    return final_.data();
 }
 
 // --- LeakageDriverSim: the scalar driver as a one-lane batch. ---
@@ -307,22 +293,8 @@ LeakageDriver::final_data_measure()
 LeakageDriverSim::LeakageDriverSim(const CssCode& code,
                                    const RoundCircuit& rc,
                                    const NoiseParams& np, Rng noise_rng)
-    : BatchSimulator(code), driver_(code, rc, np, noise_rng, this),
-      det_(static_cast<size_t>(code.n_checks()), 0),
-      meas_(static_cast<size_t>(code.n_checks()), 0),
-      mlr_(static_cast<size_t>(code.n_checks()), 0),
-      final_(static_cast<size_t>(code.n_data()), 0)
+    : BatchSimulator(code), driver_(code, rc, np, noise_rng, this)
 {
-}
-
-void
-LeakageDriverSim::round(const LrcSchedule& lrcs)
-{
-    // One word per check; lane 0 is bit 0, so a 0/1 byte is its word.
-    driver_.run_round(lrcs, &rr_);
-    std::copy(rr_.detector.begin(), rr_.detector.end(), det_.begin());
-    std::copy(rr_.meas_flip.begin(), rr_.meas_flip.end(), meas_.begin());
-    std::copy(rr_.mlr_flag.begin(), rr_.mlr_flag.end(), mlr_.begin());
 }
 
 void
@@ -343,21 +315,6 @@ LeakageDriverSim::inject_data_leak_lane(int lane, int q)
                                     ": one-lane backend has no lane " +
                                     std::to_string(lane));
     driver_.set_leak(q);
-}
-
-void
-LeakageDriverSim::run_round_masks(const LrcMasks& lrcs)
-{
-    lrcs.lane_schedule(0, &sched_);
-    round(sched_);
-}
-
-const LaneMask*
-LeakageDriverSim::final_data_measure_words()
-{
-    const std::vector<uint8_t> flips = driver_.final_data_measure();
-    std::copy(flips.begin(), flips.end(), final_.begin());
-    return final_.data();
 }
 
 }  // namespace gld

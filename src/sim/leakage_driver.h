@@ -91,11 +91,13 @@ class StatePrimitives {
  *    LRC against a leaked ancilla pumps leakage INTO the data qubit), then
  *    applies gadget noise.  An ancilla LRC resets the ancilla.
  *
- * The driver owns the leak flags, the previous-round measurement record,
- * and the noise RNG; it implements the ground-truth LeakageOracle that
- * oracle policies and the runner's speculation accounting read.
+ * The driver speaks the one-lane word format of BatchSimulator: LRCs come
+ * in as one-word LrcMasks, and the round's detector / meas_flip / MLR
+ * bits, the final readout and the leak flags go out as one word per check
+ * or qubit (0 or 1: lane 0 is bit 0).  It owns the leak flags, the
+ * previous-round measurement record and the noise RNG.
  */
-class LeakageDriver final : public LeakageOracle {
+class LeakageDriver final {
   public:
     /**
      * @param noise_rng the shot-MASTER stream: shot k of this driver
@@ -142,44 +144,44 @@ class LeakageDriver final : public LeakageOracle {
     /** Raises the leak flag of check c's ancilla. */
     void set_check_leak(int c) { set_leak(code_->ancilla_of(c)); }
     /** Clears a qubit's leak flag (tests). */
-    void clear_leak(int q) { leaked_[q] = 0; }
+    void clear_leak(int q) { leaked_[static_cast<size_t>(q)] = 0; }
     /** Leak flag of any qubit (data or ancilla index). */
-    bool leaked(int q) const { return leaked_[q] != 0; }
+    bool leaked(int q) const { return leaked_[static_cast<size_t>(q)] != 0; }
     /**
      * The leak flags as one-lane words (0 or 1 per qubit, data qubits
      * first, then ancillas): the BatchSimulator::leaked_words() view of
-     * a one-lane batch, with no per-round packing.
+     * a one-lane batch.  The address is fixed for the driver's lifetime.
      */
     const LaneMask* leaked_words() const { return leaked_.data(); }
 
-    // --- LeakageOracle (ground truth). ---
-    bool data_leaked(int q) const override { return leaked_[q] != 0; }
-    bool check_leaked(int c) const override
-    {
-        return leaked_[code_->ancilla_of(c)] != 0;
-    }
-    int n_data_leaked() const override;
-    int n_check_leaked() const override;
+    /**
+     * Applies lane 0's LRC gadgets of `lrcs` (start-of-round semantics;
+     * ascending data index, then ascending check index — the LrcMasks
+     * order), then executes one noisy syndrome-extraction round over the
+     * primitives.  The outcome is left in the round words.  Bits of
+     * other lanes are ignored; masks not sized for this code at one word
+     * are refused with std::invalid_argument.
+     */
+    void run_round(const LrcMasks& lrcs);
 
     /**
-     * Applies the scheduled LRC gadgets (start-of-round semantics), then
-     * executes one noisy syndrome-extraction round over the primitives.
+     * Round words of the last round, one word per check (0 or 1); zero
+     * before the first round.
      */
-    RoundResult run_round(const LrcSchedule& lrcs);
-    /** run_round into `out`, reusing its storage (no allocation). */
-    void run_round(const LrcSchedule& lrcs, RoundResult* out);
+    const LaneMask* detector_words() const { return det_.data(); }
+    const LaneMask* meas_flip_words() const { return meas_.data(); }
+    const LaneMask* mlr_flag_words() const { return mlr_.data(); }
 
     /**
      * Transversal Z-basis readout of all data qubits; leaked qubits read
      * out randomly, the rest via the measure_z primitive + readout error.
+     * Returns the outcome flips, one word per data qubit (0 or 1), valid
+     * until the next call.
      */
-    std::vector<uint8_t> final_data_measure();
+    const LaneMask* final_data_measure();
 
     /** The LRC partner ancilla (check index) used for data qubit q. */
     int lrc_partner(int q) const { return lrc_partner_[q]; }
-
-    Rng& rng() { return rng_; }
-    const NoiseParams& noise() const { return np_; }
 
   private:
     void apply_lrc_data(int q);
@@ -198,8 +200,13 @@ class LeakageDriver final : public LeakageOracle {
     uint64_t shot_index_ = 0;  ///< shots started (next reset_shot id)
     StatePrimitives* state_;
 
-    std::vector<LaneMask> leaked_;  ///< leak flag per qubit, 0 or 1
-    std::vector<uint8_t> prev_meas_;
+    // One-lane words, 0 or 1 each.
+    std::vector<LaneMask> leaked_;     ///< leak flag per qubit
+    std::vector<LaneMask> prev_meas_;  ///< previous meas_flip per check
+    std::vector<LaneMask> meas_;       ///< last round's meas_flip per check
+    std::vector<LaneMask> mlr_;        ///< last round's MLR flag per check
+    std::vector<LaneMask> det_;        ///< last round's detector per check
+    std::vector<LaneMask> final_;      ///< final readout per data qubit
     std::vector<int> lrc_partner_;
     bool first_round_ = true;
 };
@@ -212,11 +219,11 @@ class LeakageDriver final : public LeakageOracle {
  * construction — a third backend is a primitives provider, not a
  * re-implementation of the round dynamics.
  *
- * It is a one-lane BatchSimulator (width 1, K = 1): the leak words are
- * the driver's flag array, run_round_masks runs lane 0's schedule through
- * the driver and copies the RoundResult into the round words.  The scalar
- * Simulator calls come from BatchSimulator's lane-0 adapter, like every
- * backend's.
+ * It is a one-lane BatchSimulator (width 1, K = 1) whose word entry
+ * points are the driver's own: run_round_masks is the driver's round,
+ * and the round, final-readout and leak words are the driver's spans.
+ * The scalar Simulator calls (leak_oracle() included) come from
+ * BatchSimulator's lane-0 adapter, like every backend's.
  */
 class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
@@ -236,7 +243,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     void inject_x(int q) final { apply_pauli(q, kPauliX); }
     void inject_z(int q) final { apply_pauli(q, kPauliZ); }
     void clear_leak(int q) final { driver_.clear_leak(q); }
-    const LeakageOracle& leak_oracle() const final { return driver_; }
 
     // --- BatchSimulator: one lane, one word. ---
     int batch_width() const final { return 1; }
@@ -248,17 +254,29 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     {
         return driver_.leaked_words();
     }
-    const LaneMask* detector_words() const final { return det_.data(); }
-    const LaneMask* meas_flip_words() const final { return meas_.data(); }
-    const LaneMask* mlr_flag_words() const final { return mlr_.data(); }
-    void run_round_masks(const LrcMasks& lrcs) final;
-    const LaneMask* final_data_measure_words() final;
+    const LaneMask* detector_words() const final
+    {
+        return driver_.detector_words();
+    }
+    const LaneMask* meas_flip_words() const final
+    {
+        return driver_.meas_flip_words();
+    }
+    const LaneMask* mlr_flag_words() const final
+    {
+        return driver_.mlr_flag_words();
+    }
+    void run_round_masks(const LrcMasks& lrcs) final
+    {
+        driver_.run_round(lrcs);
+    }
+    const LaneMask* final_data_measure_words() final
+    {
+        return driver_.final_data_measure();
+    }
 
     /** The LRC partner ancilla (check index) used for data qubit q. */
     int lrc_partner(int q) const { return driver_.lrc_partner(q); }
-
-    /** The shared round driver (tests: drift gate, semantics probes). */
-    const LeakageDriver& driver() const { return driver_; }
 
   protected:
     /**
@@ -270,17 +288,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
                      const NoiseParams& np, Rng noise_rng);
 
     LeakageDriver driver_;
-
-  private:
-    /** Runs one round into rr_ and packs it into the round words. */
-    void round(const LrcSchedule& lrcs);
-
-    RoundResult rr_;  ///< the last round, storage reused across rounds
-    // One-lane round words of the last round (one word per check) and
-    // of the last final readout (one per data qubit); zero until the
-    // first call writes them.
-    std::vector<LaneMask> det_, meas_, mlr_, final_;
-    LrcSchedule sched_;  ///< run_round_masks' unpacked lane-0 schedule
 };
 
 }  // namespace gld

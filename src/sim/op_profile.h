@@ -129,7 +129,9 @@ struct RoundOpProfile {
 /**
  * Profiles one driver round of `code` under `np`: runs the shared
  * LeakageDriver over a CountingState (no engine behind it) once without
- * and once with `lrcs`, both from the same seed.
+ * and once with `lrcs`, both from the same seed.  `lrcs` is packed into
+ * one-word masks, so each list must be strictly ascending
+ * (LrcMasks::add_lane).
  */
 RoundOpProfile profile_round_ops(const CssCode& code,
                                  const RoundCircuit& rc,

@@ -139,7 +139,7 @@ LrcMasks::lane_schedule(int lane, LrcSchedule* out) const
 }
 
 int
-LaneLeakOracle::n_data_leaked() const
+LeakageOracle::n_data_leaked() const
 {
     int n = 0;
     for (int q = 0; q < code_->n_data(); ++q)
@@ -148,7 +148,7 @@ LaneLeakOracle::n_data_leaked() const
 }
 
 int
-LaneLeakOracle::n_check_leaked() const
+LeakageOracle::n_check_leaked() const
 {
     int n = 0;
     for (int c = 0; c < code_->n_checks(); ++c)
@@ -273,17 +273,6 @@ backend_from_name(const std::string& name)
             return e.backend;
     }
     throw_unknown_backend("unknown simulation backend \"" + name + "\"");
-}
-
-int
-backend_rng_contract(SimBackend backend)
-{
-    for (const BackendEntry& e : kBackendTable) {
-        if (e.backend == backend)
-            return e.rng_contract;
-    }
-    throw_unknown_backend("invalid SimBackend value " +
-                          std::to_string(static_cast<int>(backend)));
 }
 
 int

@@ -111,34 +111,17 @@ void unpack_lane(const RoundWords& in, int n_checks, int lane,
                  RoundResult* out);
 
 /**
- * Ground-truth view of the classical leakage state, as the per-shot
- * policy interface reads it.  Two implementations exist: the shared
- * LeakageDriver (a one-lane backend's flag array) and LaneLeakOracle (one
- * lane of a leak-word span).  Neither keeps flags of its own: both read
- * the state the backend's round dynamics wrote.
+ * Ground-truth view of one lane of a K-word leak-word span, as the
+ * per-shot policy interface reads it: the layout of
+ * BatchSimulator::leaked_words(), where entry q*K+w is word w of qubit q
+ * (data qubits first, then ancillas) and bit l of word w is lane
+ * w*64+l.  It keeps no flags of its own: it reads the state the
+ * backend's round dynamics wrote.  A null span reads as nothing leaked.
  */
 class LeakageOracle {
   public:
-    virtual ~LeakageOracle() = default;
-
-    virtual bool data_leaked(int q) const = 0;
-    virtual bool check_leaked(int c) const = 0;
-    /** Number of currently-leaked data qubits. */
-    virtual int n_data_leaked() const = 0;
-    /** Number of currently-leaked ancilla qubits. */
-    virtual int n_check_leaked() const = 0;
-};
-
-/**
- * LeakageOracle view of lane `lane` of a K-word leak-word span: the
- * layout of BatchSimulator::leaked_words(), where entry q*K+w is word w of
- * qubit q (data qubits first, then ancillas) and bit l of word w is lane
- * w*64+l.  A null span reads as nothing leaked.
- */
-class LaneLeakOracle final : public LeakageOracle {
-  public:
-    LaneLeakOracle(const CssCode& code, const LaneMask* words, int n_words,
-                   int lane)
+    LeakageOracle(const CssCode& code, const LaneMask* words, int n_words,
+                  int lane)
         : code_(&code), words_(words), n_words_(n_words), lane_(lane)
     {
     }
@@ -150,13 +133,12 @@ class LaneLeakOracle final : public LeakageOracle {
         n_words_ = n_words;
     }
 
-    bool data_leaked(int q) const override { return leaked(q); }
-    bool check_leaked(int c) const override
-    {
-        return leaked(code_->ancilla_of(c));
-    }
-    int n_data_leaked() const override;
-    int n_check_leaked() const override;
+    bool data_leaked(int q) const { return leaked(q); }
+    bool check_leaked(int c) const { return leaked(code_->ancilla_of(c)); }
+    /** Number of currently-leaked data qubits. */
+    int n_data_leaked() const;
+    /** Number of currently-leaked ancilla qubits. */
+    int n_check_leaked() const;
 
   private:
     bool leaked(int q) const
@@ -227,7 +209,11 @@ class Simulator {
     /** Clears a qubit's leak flag (tests). */
     virtual void clear_leak(int q) = 0;
 
-    /** The ground-truth leak oracle (the shared driver's flag state). */
+    /**
+     * The ground-truth leak oracle: the same object for the simulator's
+     * lifetime (Policy::set_oracle keeps the pointer), always reading
+     * the backend's current leak state.
+     */
     virtual const LeakageOracle& leak_oracle() const = 0;
 
     // Convenience pass-throughs so oracle reads stay one call deep at
@@ -260,7 +246,9 @@ class Simulator {
  * The packed batch_frame backend holds batch_words*64 lanes; the scalar
  * frame and tableau engines are one-lane batches (width 1, K = 1), so
  * the runner has a single block loop for every backend and a backend
- * implements only the batch entry points.
+ * implements only the batch entry points.  The ground truth is
+ * leaked_words() alone: leak_oracle() is one LeakageOracle over lane 0
+ * of those words, for every backend.
  */
 class BatchSimulator : public Simulator {
   public:
@@ -291,7 +279,8 @@ class BatchSimulator : public Simulator {
      * = lane w*64+l) — the whole batch's truth in one read, so the
      * runner's per-round speculation accounting is popcounts over words
      * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
-     * word w of qubit q (data qubits first, then ancillas).
+     * word w of qubit q (data qubits first, then ancillas).  The span's
+     * address is fixed for the simulator's lifetime.
      */
     virtual const LaneMask* leaked_words() const = 0;
 
@@ -331,6 +320,12 @@ class BatchSimulator : public Simulator {
     // --- Scalar Simulator API: lane 0 of the batch entry points. ---
     void reset_shot() final { reset_shot_batch(1); }
     void inject_data_leak(int q) final { inject_data_leak_lane(0, q); }
+    /** Lane 0 of leaked_words(). */
+    const LeakageOracle& leak_oracle() const final
+    {
+        oracle_.bind(leaked_words(), batch_n_words());
+        return oracle_;
+    }
     /**
      * Runs lrcs (strictly ascending, see LrcMasks::add_lane) as lane 0's
      * schedule; any other active lane gets no LRCs.
@@ -339,7 +334,10 @@ class BatchSimulator : public Simulator {
     std::vector<uint8_t> final_data_measure() final;
 
   protected:
-    explicit BatchSimulator(const CssCode& code) : code_(&code) {}
+    explicit BatchSimulator(const CssCode& code)
+        : code_(&code), oracle_(code, nullptr, 1, 0)
+    {
+    }
 
     const CssCode* code_;
 
@@ -348,6 +346,8 @@ class BatchSimulator : public Simulator {
     RoundWords last_round() const;
 
     LrcMasks masks_;  ///< the scalar and per-lane schedules, packed
+    /// leak_oracle()'s lane-0 view, bound to leaked_words() per call.
+    mutable LeakageOracle oracle_;
 };
 
 /**
@@ -444,21 +444,15 @@ NoiseSampling noise_sampling_from_name(const std::string& name);
 NoiseSampling noise_sampling_from_env();
 
 /**
- * RNG contract group of a backend (from the one backend table).  Two
- * backends with the SAME contract id replay identical (seed, stream,
- * block) draw sequences, so any config's Metrics must be BIT-identical
- * between them — the contract behind frame/batch_frame equality and the
- * verify referee's bit-exact mode.  Backends with different ids draw
- * independent randomness and agree only statistically.
- */
-int backend_rng_contract(SimBackend backend);
-
-/**
- * Mode-aware RNG contract: the draw-sequence group of `backend` running
- * under `sampling`.  At kLockstep this is backend_rng_contract(backend);
- * at kSparse batch_frame moves to its own contract id (its
- * event-driven draw sequence matches no lockstep engine), while the
- * scalar backends — which ignore the knob — keep their lockstep ids.
+ * RNG contract group of `backend` running under `sampling` (from the
+ * one backend table).  Two runs with the SAME contract id replay
+ * identical (seed, stream, block) draw sequences, so any config's
+ * Metrics must be BIT-identical between them — the contract behind
+ * frame/batch_frame equality and the verify referee's bit-exact mode.
+ * Different ids draw independent randomness and agree only
+ * statistically.  At kSparse batch_frame moves to its own contract id
+ * (its event-driven draw sequence matches no lockstep engine), while
+ * the scalar backends — which ignore the knob — keep their lockstep ids.
  */
 int backend_rng_contract(SimBackend backend, NoiseSampling sampling);
 

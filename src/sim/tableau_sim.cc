@@ -162,12 +162,14 @@ TableauSim::measure_z(int q, bool* was_random, const bool* forced_random)
         // Random outcome.
         if (was_random != nullptr)
             *was_random = true;
+        // Destabilizer row d = p-n takes the old stabilizer row p below,
+        // so it is skipped here: rowsum into it would be discarded, and
+        // its phase (it anticommutes with row p) may be +-i.
+        const int d = p - n_;
         for (int row = 0; row < 2 * n_; ++row) {
-            if (row != p && xbit(row, q))
+            if (row != p && row != d && xbit(row, q))
                 rowsum(row, p);
         }
-        // Destabilizer row p-n takes the old stabilizer row p.
-        const int d = p - n_;
         for (int w = 0; w < words_; ++w) {
             xs_[static_cast<size_t>(d) * words_ + w] =
                 xs_[static_cast<size_t>(p) * words_ + w];

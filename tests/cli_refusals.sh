@@ -80,12 +80,24 @@ runs="$dir/runs"
 "$bin" run --spec "$dir/tiny.json" --shard 0/1 --out "$runs" \
     > "$dir/tiny_run.stdout" || exit 1
 last=$(ls "$runs"/*.shard0of1.json | grep -v telemetry | tail -n 1)
-sed '1,/"shots"/s/"shots": [0-9]*/"shots": -5/' "$last" > "$dir/edited.json"
-mv "$dir/edited.json" "$last"
+cp "$last" "$dir/last.orig"
+sed '1,/"shots"/s/"shots": [0-9]*/"shots": -5/' "$dir/last.orig" > "$last"
 expect merge_negative_shots '"shots" -5 is a negative count' \
     "$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$runs"
 if ls "$runs" | grep -q merged; then
     echo "FAIL merge wrote a merged file from a refused shard"
+    fail=1
+fi
+
+# So is one whose first stream claims one shot fewer than the job gives
+# it: a well-formed count that contradicts the spec.
+n=$(sed -n 's/.*"shots": \([0-9]*\).*/\1/p' "$dir/last.orig" | head -n 1)
+sed "1,/\"shots\"/s/\"shots\": [0-9]*/\"shots\": $((n - 1))/" \
+    "$dir/last.orig" > "$last"
+expect merge_contradicting_shots "shots = $((n - 1)), want $n" \
+    "$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$runs"
+if ls "$runs" | grep -q merged; then
+    echo "FAIL merge wrote a merged file from a contradicting shard"
     fail=1
 fi
 exit $fail

@@ -662,6 +662,80 @@ TEST(Merge, RefusesANegativeCountAndWritesNoMergedFile)
     EXPECT_NO_THROW(merge_campaign(spec, 1, dir));
 }
 
+// A shard file whose per-stream Metrics contradict the job — one
+// stream's shot count rewritten from 6 to 5, so the merge would come to
+// 44 shots for a 45-shot spec — is refused naming the file, the stream
+// and the field, and merge writes no merged file.  Resume treats the
+// file as stale and recomputes it.  The same holds for the round count,
+// the decoded-shot count, more logical errors than decoded shots, a DLP
+// series of the wrong length and a non-finite total.
+TEST(Merge, RefusesStreamMetricsThatContradictTheJob)
+{
+    const CampaignSpec spec = small_spec("contradicted");
+    const std::string dir = fresh_dir("contradicted");
+    run_shard(spec, 0, 1, dir, untraced(1));
+    const std::vector<JobSpec> jobs = spec.expand();
+    const JobSpec& job = jobs.back();
+    ASSERT_EQ(ExperimentRunner::stream_shots(job.cfg, 0), 6);
+    ASSERT_EQ(job.cfg.rounds, 7);
+    const std::vector<Metrics> clean = merge_campaign(spec, 1, dir);
+    for (const JobSpec& j : jobs)
+        std::remove(merged_result_path(dir, spec, j.index).c_str());
+
+    const std::string path = shard_result_path(dir, spec, job.index, 0, 1);
+    const std::string text = io::read_file(path);
+    const std::string series_end = "\n        ],";
+    const size_t series_at = text.find(series_end);
+    ASSERT_NE(series_at, std::string::npos);
+    const size_t fn_at = text.find("\"fn_total\": \"0x") + 13;
+    ASSERT_GT(fn_at, 13u);
+    const std::string fn_inf =
+        text.substr(0, fn_at) + "0x7ff0000000000000" +
+        text.substr(text.find('"', fn_at));
+    const struct {
+        std::string bytes;
+        std::string field;
+    } cases[] = {
+        {with_count(text, "shots", "5"), "shots = 5, want 6"},
+        {with_count(text, "rounds_per_shot", "6"),
+         "rounds_per_shot = 6, want 7"},
+        {with_count(text, "decoded_shots", "5"),
+         "decoded_shots = 5, want 6"},
+        {with_count(text, "logical_errors", "7"),
+         "logical_errors = 7, more than decoded_shots"},
+        {text.substr(0, series_at) + ",\n          \"0x0000000000000000\"" +
+             text.substr(series_at),
+         "dlp_series length = 8, want 7"},
+        {fn_inf, "fn_total = inf, not a finite count"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.field);
+        io::write_file_atomic(path, c.bytes);
+        try {
+            merge_campaign(spec, 1, dir);
+            ADD_FAILURE() << "merged a contradicting shard file";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("stream 0 "), std::string::npos) << what;
+            EXPECT_NE(what.find(c.field), std::string::npos) << what;
+        }
+        for (const JobSpec& j : jobs)
+            EXPECT_FALSE(io::file_exists(merged_result_path(dir, spec, j.index)))
+                << "job " << j.index;
+
+        // Resume recomputes exactly the contradicted job's file.
+        const RunShardStats stats = run_shard(spec, 0, 1, dir, untraced(1));
+        EXPECT_EQ(stats.jobs_run, 1);
+        EXPECT_EQ(stats.jobs_resumed, static_cast<int>(jobs.size()) - 1);
+        EXPECT_EQ(io::read_file(path), text);
+    }
+    const std::vector<Metrics> after = merge_campaign(spec, 1, dir);
+    ASSERT_EQ(after.size(), clean.size());
+    for (size_t i = 0; i < after.size(); ++i)
+        EXPECT_TRUE(metrics_bit_diff(after[i], clean[i]).empty()) << i;
+}
+
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
 {
     // -j N (jobs_parallel) and the per-job runner loops execute on the
@@ -733,8 +807,6 @@ TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
 
 TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe");
     const int n_shards = 3;
     const std::string dir = fresh_dir("observe");
@@ -884,8 +956,6 @@ TEST(Observability, CalibrationKeysOnBatchWidthSoSweepsDontCollide)
 
 TEST(Observability, WideBatchCalibrationNeverMixesWithNarrow)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     // End-to-end: a K=2 campaign's telemetry lands under the @w2 key,
     // plans the K=2 spec, and refuses (rather than silently misprices)
     // the K=1 spec.
@@ -908,8 +978,6 @@ TEST(Observability, WideBatchCalibrationNeverMixesWithNarrow)
 
 TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe_resume");
     const std::string dir = fresh_dir("observe_resume");
     RunShardOptions opt;
@@ -936,8 +1004,6 @@ TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
 
 TEST(Observability, ResumeOnlyPassReportsZeroThroughput)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe_resume_rate");
     const std::string dir = fresh_dir("observe_resume_rate");
     RunShardOptions opt;
@@ -966,8 +1032,6 @@ TEST(Observability, ResumeOnlyPassReportsZeroThroughput)
 // good heartbeat.
 TEST(Observability, NegativeCountsInTelemetryAndProgressAreSkipped)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     CampaignSpec spec = small_spec("observe_negative");
     spec.policies = {"eraser_m"};  // one job, one telemetry file
     const std::string dir = fresh_dir("observe_negative");

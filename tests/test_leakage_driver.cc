@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,27 @@ noiseless()
     return np;
 }
 
+/**
+ * Packs `sched` into one-word masks, runs one driver round and unpacks
+ * the round words as lane 0's RoundResult.
+ */
+RoundResult
+run_round(LeakageDriver& driver, const CssCode& code,
+          const LrcSchedule& sched = LrcSchedule{})
+{
+    LrcMasks masks;
+    masks.reset(code.n_data(), code.n_checks(), 1);
+    masks.add_lane(0, sched);
+    driver.run_round(masks);
+    RoundWords words;
+    words.detector = driver.detector_words();
+    words.mlr_flag = driver.mlr_flag_words();
+    words.meas_flip = driver.meas_flip_words();
+    RoundResult rr;
+    unpack_lane(words, code.n_checks(), 0, &rr);
+    return rr;
+}
+
 struct Harness {
     CssCode code;
     RoundCircuit rc;
@@ -96,6 +118,17 @@ struct Harness {
         : code(SurfaceCode::make(3)), rc(code),
           driver(code, rc, np, Rng(seed), &state)
     {
+    }
+
+    RoundResult run(const LrcSchedule& sched = LrcSchedule{})
+    {
+        return run_round(driver, code, sched);
+    }
+
+    /** The driver's leak flags, read as lane 0 of its leak words. */
+    LeakageOracle oracle() const
+    {
+        return LeakageOracle(code, driver.leaked_words(), 1, 0);
     }
 };
 
@@ -128,7 +161,7 @@ quiet_round_golden(const RoundCircuit& rc)
 TEST(LeakageDriver, QuietRoundGoldenCallSequence)
 {
     Harness h(noiseless());
-    const RoundResult rr = h.driver.run_round(LrcSchedule{});
+    const RoundResult rr = h.run();
     EXPECT_EQ(h.state.log, quiet_round_golden(h.rc));
     for (int c = 0; c < h.code.n_checks(); ++c) {
         EXPECT_EQ(rr.detector[static_cast<size_t>(c)], 0);
@@ -140,9 +173,9 @@ TEST(LeakageDriver, ResetShotResetsFlagsAndState)
 {
     Harness h(noiseless());
     h.driver.set_leak(0);
-    EXPECT_EQ(h.driver.n_data_leaked(), 1);
+    EXPECT_EQ(h.oracle().n_data_leaked(), 1);
     h.driver.reset_shot();
-    EXPECT_EQ(h.driver.n_data_leaked(), 0);
+    EXPECT_EQ(h.oracle().n_data_leaked(), 0);
     EXPECT_EQ(h.state.log.back(), "reset_state");
 }
 
@@ -173,7 +206,7 @@ TEST(LeakageDriver, LeakedAncillaMalfunctionsItsCnotsAndSkipsMeasure)
     h.driver.set_check_leak(c);
     h.state.log.clear();
 
-    const RoundResult rr = h.driver.run_round(LrcSchedule{});
+    const RoundResult rr = h.run();
 
     EXPECT_EQ(h.state.count("cnot", anc), 0);
     EXPECT_EQ(h.state.count("measure", anc), 0);
@@ -199,7 +232,7 @@ TEST(LeakageDriver, LeakedAncillaMalfunctionsItsCnotsAndSkipsMeasure)
             EXPECT_EQ(rr.mlr_flag[static_cast<size_t>(other)], 0);
         }
     }
-    EXPECT_TRUE(h.driver.check_leaked(c));
+    EXPECT_TRUE(h.oracle().check_leaked(c));
 }
 
 TEST(LeakageDriver, LeakedDataMalfunctionFlipsAncillaMeasuredBasisOnly)
@@ -215,10 +248,10 @@ TEST(LeakageDriver, LeakedDataMalfunctionFlipsAncillaMeasuredBasisOnly)
     h.driver.set_leak(q);
     h.state.log.clear();
 
-    h.driver.run_round(LrcSchedule{});
+    h.run();
 
     EXPECT_EQ(h.state.count("cnot", q), 0);
-    EXPECT_TRUE(h.driver.data_leaked(q));
+    EXPECT_TRUE(h.oracle().data_leaked(q));
     // Collect the allowed flip per adjacent ancilla from the check type.
     for (int c : h.code.data_adjacency()[q]) {
         const int anc = h.code.ancilla_of(c);
@@ -242,12 +275,12 @@ TEST(LeakageDriver, MobilityOneTransportsTheLeakWithoutDuplication)
     h.driver.set_leak(q);
     h.state.log.clear();
 
-    h.driver.run_round(LrcSchedule{});
+    h.run();
 
     // The leak moved: the original qubit is clean, the population is
     // still exactly one, and each hop fired the park hook.
-    EXPECT_FALSE(h.driver.data_leaked(q));
-    EXPECT_EQ(h.driver.n_data_leaked() + h.driver.n_check_leaked(), 1);
+    EXPECT_FALSE(h.oracle().data_leaked(q));
+    EXPECT_EQ(h.oracle().n_data_leaked() + h.oracle().n_check_leaked(), 1);
     int parks = 0;
     for (const std::string& e : h.state.log)
         parks += e.rfind("park ", 0) == 0 ? 1 : 0;
@@ -262,10 +295,10 @@ TEST(LeakageDriver, LrcDataGadgetIsSilentOnCleanQubits)
     Harness h(noiseless());
     LrcSchedule sched;
     sched.data_qubits.push_back(0);
-    h.driver.run_round(sched);
+    h.run(sched);
     EXPECT_EQ(h.state.log, quiet_round_golden(h.rc));
-    EXPECT_EQ(h.driver.n_data_leaked(), 0);
-    EXPECT_EQ(h.driver.n_check_leaked(), 0);
+    EXPECT_EQ(h.oracle().n_data_leaked(), 0);
+    EXPECT_EQ(h.oracle().n_check_leaked(), 0);
 }
 
 TEST(LeakageDriver, LrcDataGadgetPumpsLeakedPartnerInAndParks)
@@ -283,10 +316,10 @@ TEST(LeakageDriver, LrcDataGadgetPumpsLeakedPartnerInAndParks)
 
     LrcSchedule sched;
     sched.data_qubits.push_back(q);
-    h.driver.run_round(sched);
+    h.run(sched);
 
-    EXPECT_TRUE(h.driver.data_leaked(q));
-    EXPECT_FALSE(h.driver.check_leaked(pc));
+    EXPECT_TRUE(h.oracle().data_leaked(q));
+    EXPECT_FALSE(h.oracle().check_leaked(pc));
     ASSERT_FALSE(h.state.log.empty());
     EXPECT_EQ(h.state.log.front(), "park " + std::to_string(q));
 }
@@ -301,13 +334,27 @@ TEST(LeakageDriver, LrcCheckGadgetResetsAncillaFirst)
 
     LrcSchedule sched;
     sched.checks.push_back(c);
-    h.driver.run_round(sched);
+    h.run(sched);
 
-    EXPECT_FALSE(h.driver.check_leaked(c));
+    EXPECT_FALSE(h.oracle().check_leaked(c));
     ASSERT_FALSE(h.state.log.empty());
     // The gadget's reset is the very first primitive call of the round
     // (start-of-round semantics), before any circuit op.
     EXPECT_EQ(h.state.log.front(), "reset_z " + std::to_string(anc));
+}
+
+TEST(LeakageDriver, RefusesMasksNotSizedForThisCodeAtOneWord)
+{
+    // The driver reads lane 0 of one-word masks; masks of another width
+    // or code would misplace every gadget, so they are refused before
+    // any primitive call or draw.
+    Harness h(noiseless());
+    LrcMasks wide, small;
+    wide.reset(h.code.n_data(), h.code.n_checks(), 2);
+    small.reset(h.code.n_data() - 1, h.code.n_checks(), 1);
+    EXPECT_THROW(h.driver.run_round(wide), std::invalid_argument);
+    EXPECT_THROW(h.driver.run_round(small), std::invalid_argument);
+    EXPECT_TRUE(h.state.log.empty());
 }
 
 TEST(LeakageDriver, LeakedFinalReadoutSkipsMeasurePrimitive)
@@ -389,7 +436,7 @@ TEST(OpProfile, CountingStateForwardsToInnerBackend)
     ScriptedState inner;
     CountingState counting(&inner);
     LeakageDriver driver(code, rc, noiseless(), Rng(1), &counting);
-    driver.run_round(LrcSchedule{});
+    run_round(driver, code);
     EXPECT_EQ(inner.log, quiet_round_golden(rc));
     EXPECT_EQ(counting.counts().cnots,
               static_cast<long>(std::count_if(
@@ -413,7 +460,7 @@ TEST(OpProfile, MalfunctionPaulisShowUpInTheProfile)
     LeakageDriver driver(code, rc, np, Rng(7), &state);
     driver.set_leak(4);
     state.reset_counts();
-    driver.run_round(LrcSchedule{});
+    run_round(driver, code);
     EXPECT_GT(state.counts().paulis, 0);
     EXPECT_EQ(state.counts().cnots,
               24 - static_cast<long>(code.data_adjacency()[4].size()));
@@ -436,18 +483,32 @@ TEST(LeakageDriverDrift, EveryKnownBackendRoutesThroughTheSharedDriver)
         const auto* bs = dynamic_cast<const BatchFrameSim*>(sim.get());
         ASSERT_TRUE(ds != nullptr || bs != nullptr)
             << "backend routes through neither leakage driver";
-        // Its ground-truth oracle is the driver's own flag state.
-        if (ds != nullptr) {
-            EXPECT_EQ(&sim->leak_oracle(),
-                      static_cast<const LeakageOracle*>(&ds->driver()));
-        } else {
-            EXPECT_EQ(&sim->leak_oracle(), &bs->lane_oracle(0));
-        }
-        // And interface-level leak state is the driver's flag state.
+        // Its ground-truth oracle is one object for the simulator's
+        // lifetime, reading lane 0 of the leak words.
+        const LeakageOracle& oracle = sim->leak_oracle();
+        EXPECT_EQ(&oracle, &sim->leak_oracle());
+        const size_t K = static_cast<size_t>(sim->batch_n_words());
+        const auto expect_lane0 = [&] {
+            const LaneMask* words = sim->leaked_words();
+            for (int q = 0; q < code.n_data(); ++q)
+                EXPECT_EQ(oracle.data_leaked(q),
+                          (words[static_cast<size_t>(q) * K] & 1u) != 0)
+                    << "data " << q;
+            for (int c = 0; c < code.n_checks(); ++c)
+                EXPECT_EQ(oracle.check_leaked(c),
+                          (words[static_cast<size_t>(code.ancilla_of(c)) *
+                                 K] &
+                           1u) != 0)
+                    << "check " << c;
+        };
+        // And interface-level leak state is the leak words' state.
         sim->inject_data_leak(1);
-        EXPECT_TRUE(sim->leak_oracle().data_leaked(1));
+        EXPECT_TRUE(oracle.data_leaked(1));
+        EXPECT_EQ(oracle.n_data_leaked(), 1);
+        expect_lane0();
         sim->clear_leak(1);
-        EXPECT_FALSE(sim->leak_oracle().data_leaked(1));
+        EXPECT_FALSE(oracle.data_leaked(1));
+        expect_lane0();
     }
 }
 

@@ -4,9 +4,16 @@
 // survives hostile bytes — each strict prefix of a valid compact document
 // throws, and each single-bit change of one either loads or throws, never
 // crashes (the sanitizer build runs this suite like any other).
+//
+// The shard-result slice feeds merge_campaign a mutated shard file of a
+// small campaign: every strict prefix is refused, every single-bit flip
+// is refused or merges to the clean run's shot, round and decode counts,
+// and no refusal leaves a merged file behind.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <exception>
 #include <functional>
 #include <stdexcept>
@@ -159,6 +166,110 @@ TEST(Loaders, EverySingleBitFlipLoadsOrThrows)
     // Both outcomes occur: flipped digits still load, broken syntax and
     // out-of-range fields do not.
     EXPECT_GT(loaded, 0);
+    EXPECT_GT(refused, 0);
+}
+
+// --- Shard-result mutation slice. ---
+
+/**
+ * A one-job, two-stream campaign run as two shards into a fresh
+ * directory; merging it again after each mutation takes well under a
+ * millisecond.
+ */
+struct MutatedShard {
+    campaign::CampaignSpec spec;
+    std::string dir;
+    std::string shard_path;   ///< the file under mutation
+    std::string merged_path;  ///< the job's merged result
+    std::string text;         ///< the shard file as written
+    Metrics clean;            ///< merge of the unmutated files
+
+    MutatedShard()
+    {
+        spec.name = "mutated";
+        spec.seed = 0x5EED5ull;
+        spec.shots = 6;
+        spec.rounds = 3;
+        spec.rng_streams = 2;
+        spec.compute_ler = true;
+        spec.record_dlp_series = true;
+        spec.codes = {"surface:3"};
+        spec.policies = {"eraser_m"};
+        spec.noise = {NoiseParams::standard(1e-2, 1.0)};
+        dir = ::testing::TempDir() + "gld_loaders_" +
+              std::to_string(::getpid()) + "_mutated";
+        campaign::RunShardOptions opt;
+        opt.threads = 1;
+        opt.telemetry = false;
+        for (int shard = 0; shard < 2; ++shard)
+            campaign::run_shard(spec, shard, 2, dir, opt);
+        shard_path = campaign::shard_result_path(dir, spec, 0, 0, 2);
+        merged_path = campaign::merged_result_path(dir, spec, 0);
+        text = io::read_file(shard_path);
+        clean = campaign::merge_campaign(spec, 2, dir).at(0);
+        std::remove(merged_path.c_str());
+    }
+
+    /**
+     * Merges with `bytes` as the shard file: true if the merge went
+     * through (its merged file is then removed again), false if it was
+     * refused — in which case no merged file may exist.
+     */
+    bool merge(const std::string& bytes, Metrics* out)
+    {
+        io::write_file_atomic(shard_path, bytes);
+        try {
+            *out = campaign::merge_campaign(spec, 2, dir).at(0);
+        } catch (const std::exception&) {
+            EXPECT_FALSE(io::file_exists(merged_path));
+            return false;
+        }
+        std::remove(merged_path.c_str());
+        return true;
+    }
+};
+
+TEST(ShardMutation, EveryStrictPrefixIsRefusedAndWritesNoMergedFile)
+{
+    MutatedShard m;
+    ASSERT_GT(m.clean.shots, 0);
+    // The file ends in a newline: dropping only that leaves the same
+    // document, so the prefixes are those of the document itself.
+    const std::string doc = m.text.substr(0, m.text.find_last_not_of("\n") + 1);
+    ASSERT_LT(doc.size(), m.text.size());
+    for (size_t n = 0; n < doc.size(); ++n) {
+        Metrics got;
+        EXPECT_FALSE(m.merge(doc.substr(0, n), &got))
+            << "merged a prefix of " << n << " bytes";
+    }
+}
+
+TEST(ShardMutation, EverySingleBitFlipIsRefusedOrKeepsTheCounts)
+{
+    MutatedShard m;
+    ASSERT_GT(m.clean.shots, 0);
+    int merged = 0;
+    int refused = 0;
+    for (size_t i = 0; i < m.text.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = m.text;
+            bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+            Metrics got;
+            if (!m.merge(bad, &got)) {
+                ++refused;
+                continue;
+            }
+            ++merged;
+            EXPECT_EQ(got.shots, m.clean.shots) << "byte " << i << " bit " << bit;
+            EXPECT_EQ(got.rounds_per_shot, m.clean.rounds_per_shot)
+                << "byte " << i << " bit " << bit;
+            EXPECT_EQ(got.decoded_shots, m.clean.decoded_shots)
+                << "byte " << i << " bit " << bit;
+        }
+    }
+    // Both outcomes occur: a flipped total's digit still merges, broken
+    // syntax and contradicted counts do not.
+    EXPECT_GT(merged, 0);
     EXPECT_GT(refused, 0);
 }
 

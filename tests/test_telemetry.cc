@@ -82,8 +82,6 @@ expect_deterministic_fields_eq(const telemetry::Record& a,
 // all three backends, threads 1 and 8.
 TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -110,8 +108,6 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
 // ignores the width and runs the same config one lane wide.
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -141,8 +137,6 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 // sampling mode).
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -171,8 +165,6 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
 // slot's caches ride per worker) and vice versa.
 TEST(TelemetryDriftGate, MetricsBitIdenticalAcrossReuseAndCollectorArms)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -198,8 +190,6 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAcrossReuseAndCollectorArms)
 // per backend.
 TEST(TelemetryDeterminism, AggregatesIdenticalAcrossThreadCounts)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -223,8 +213,6 @@ TEST(TelemetryDeterminism, AggregatesIdenticalAcrossThreadCounts)
 // stream subset via run_partials) merges to the single-process record.
 TEST(TelemetryDeterminism, ShardedCollectorsMergeToSingleRunRecord)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -257,8 +245,6 @@ TEST(TelemetryDeterminism, ShardedCollectorsMergeToSingleRunRecord)
 // are two projections of the same leakage trajectories.
 TEST(TelemetryDeterminism, RecordInvariantsHold)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -310,8 +296,6 @@ TEST(TelemetryDeterminism, RecordInvariantsHold)
 // the histogram/heatmap moment identity immediately.
 TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -346,8 +330,6 @@ TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 // and the histogram but no heatmap.
 TEST(TelemetryDeterminism, HeatmapOffLeavesHeatmapEmpty)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -361,8 +343,7 @@ TEST(TelemetryDeterminism, HeatmapOffLeavesHeatmapEmpty)
     EXPECT_FALSE(rec.leak_hist.empty());
 }
 
-// --- Pure data-structure tests (no runner; run even with telemetry
-// compiled out — the library itself always exists). ---
+// --- Pure data-structure tests (no runner). ---
 
 TEST(TelemetryRecord, JsonRoundTripPreservesAllFields)
 {
