@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "codes/surface_code.h"
 
 namespace gld {
@@ -112,6 +114,34 @@ TEST(DemBuilder, LogicalEdgesExist)
         logical_edges += e.logical;
     // X faults on the logical-Z row produce logical boundary edges.
     EXPECT_GT(logical_edges, 0);
+}
+
+TEST(DemBuilder, SurfaceFiveEdgeOrderIsPinned)
+{
+    // build() emits edges in std::unordered_map iteration order, which
+    // the C++ standard leaves to the library.  The decoder grows and
+    // peels in edge-id order, so that order reaches every LER: another
+    // standard library fails here, at the graph, rather than as an
+    // unexplained decoder or Metrics golden mismatch.  The digest is
+    // FNV-1a over (u, v, logical) in emission order.
+    const CssCode code = SurfaceCode::make(5);
+    const RoundCircuit rc(code);
+    DemBuilder dem(code, rc, NoiseParams::standard(), 5);
+    const DecodingGraph g = dem.build();
+    uint64_t hash = 1469598103934665603ull;
+    const auto mix = [&hash](uint32_t word) {
+        for (int k = 0; k < 4; ++k) {
+            hash ^= (word >> (8 * k)) & 0xffu;
+            hash *= 1099511628211ull;
+        }
+    };
+    for (const GraphEdge& e : g.edges()) {
+        mix(static_cast<uint32_t>(e.u));
+        mix(static_cast<uint32_t>(e.v));
+        mix(e.logical ? 1u : 0u);
+    }
+    EXPECT_EQ(g.edges().size(), 301u);
+    EXPECT_EQ(hash, 15897152755275701876ull);
 }
 
 }  // namespace

@@ -168,61 +168,67 @@ struct CorpusPoint {
     std::vector<std::vector<uint8_t>> syndromes;
 };
 
-std::vector<CorpusPoint>
-build_corpus()
+struct CorpusSpec {
+    const char* code;
+    int rounds;
+    const char* policy;
+};
+
+/** kShots `frame` syndromes of one Fig 12 point, simulated from `seed`. */
+CorpusPoint
+build_point(const CorpusSpec& spec, uint64_t seed)
 {
     const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
     const int kShots = 96;
-    struct Spec {
-        const char* code;
-        int rounds;
-        const char* policy;
-    };
-    const Spec specs[] = {{"surface:5", 50, "no_lrc"},
-                          {"surface:5", 50, "eraser_m"},
-                          {"surface:7", 70, "no_lrc"},
-                          {"surface:7", 70, "eraser_m"}};
+    CorpusPoint pt;
+    pt.code = campaign::make_code(spec.code);
+    const CssCode& code = pt.code->code;
+    DemBuilder dem(code, pt.code->rc, np, spec.rounds);
+    pt.graph = std::make_unique<DecodingGraph>(dem.build());
+    const std::vector<int> z_checks = code.checks_of_type(CheckType::kZ);
+    const size_t nz = z_checks.size();
+    std::unique_ptr<Simulator> sim =
+        make_simulator(SimBackend::kFrame, code, pt.code->rc, np, seed);
+    std::unique_ptr<Policy> policy =
+        campaign::make_policy(spec.policy, np)(pt.code->ctx, 0);
+    policy->set_oracle(sim.get());
+    for (int shot = 0; shot < kShots; ++shot) {
+        sim->reset_shot();
+        policy->begin_shot();
+        std::vector<uint8_t> syn((static_cast<size_t>(spec.rounds) + 1) * nz,
+                                 0);
+        LrcSchedule sched;
+        RoundResult rr;
+        for (int r = 0; r < spec.rounds; ++r) {
+            rr = sim->run_round(sched);
+            policy->observe(r, rr, &sched);
+            for (size_t zi = 0; zi < nz; ++zi)
+                syn[static_cast<size_t>(r) * nz + zi] =
+                    rr.detector[static_cast<size_t>(z_checks[zi])];
+        }
+        const std::vector<uint8_t> flips = sim->final_data_measure();
+        for (size_t zi = 0; zi < nz; ++zi) {
+            uint8_t det = rr.meas_flip[static_cast<size_t>(z_checks[zi])];
+            for (int q : code.check(z_checks[zi]).support)
+                det ^= flips[static_cast<size_t>(q)];
+            syn[static_cast<size_t>(spec.rounds) * nz + zi] = det;
+        }
+        pt.syndromes.push_back(std::move(syn));
+    }
+    return pt;
+}
+
+std::vector<CorpusPoint>
+build_corpus()
+{
+    const CorpusSpec specs[] = {{"surface:5", 50, "no_lrc"},
+                                {"surface:5", 50, "eraser_m"},
+                                {"surface:7", 70, "no_lrc"},
+                                {"surface:7", 70, "eraser_m"}};
     std::vector<CorpusPoint> corpus;
     uint64_t seed = 1000;
-    for (const Spec& spec : specs) {
-        CorpusPoint pt;
-        pt.code = campaign::make_code(spec.code);
-        const CssCode& code = pt.code->code;
-        DemBuilder dem(code, pt.code->rc, np, spec.rounds);
-        pt.graph = std::make_unique<DecodingGraph>(dem.build());
-        const std::vector<int> z_checks = code.checks_of_type(CheckType::kZ);
-        const size_t nz = z_checks.size();
-        std::unique_ptr<Simulator> sim = make_simulator(
-            SimBackend::kFrame, code, pt.code->rc, np, seed++);
-        std::unique_ptr<Policy> policy =
-            campaign::make_policy(spec.policy, np)(pt.code->ctx, 0);
-        policy->set_oracle(sim.get());
-        for (int shot = 0; shot < kShots; ++shot) {
-            sim->reset_shot();
-            policy->begin_shot();
-            std::vector<uint8_t> syn(
-                (static_cast<size_t>(spec.rounds) + 1) * nz, 0);
-            LrcSchedule sched;
-            RoundResult rr;
-            for (int r = 0; r < spec.rounds; ++r) {
-                rr = sim->run_round(sched);
-                policy->observe(r, rr, &sched);
-                for (size_t zi = 0; zi < nz; ++zi)
-                    syn[static_cast<size_t>(r) * nz + zi] =
-                        rr.detector[static_cast<size_t>(z_checks[zi])];
-            }
-            const std::vector<uint8_t> flips = sim->final_data_measure();
-            for (size_t zi = 0; zi < nz; ++zi) {
-                uint8_t det =
-                    rr.meas_flip[static_cast<size_t>(z_checks[zi])];
-                for (int q : code.check(z_checks[zi]).support)
-                    det ^= flips[static_cast<size_t>(q)];
-                syn[static_cast<size_t>(spec.rounds) * nz + zi] = det;
-            }
-            pt.syndromes.push_back(std::move(syn));
-        }
-        corpus.push_back(std::move(pt));
-    }
+    for (const CorpusSpec& spec : specs)
+        corpus.push_back(build_point(spec, seed++));
     return corpus;
 }
 
@@ -305,6 +311,91 @@ TEST(UnionFindGolden, RandomSyndromesDecodeToPinnedDigest)
     EXPECT_EQ(flips, 110);
     EXPECT_EQ(residual, 0);
     EXPECT_EQ(hash, 3657363139386063491ull);
+}
+
+/** FNV-1a digest of one decoder's output over a syndrome sequence. */
+struct DecodeDigest {
+    long flips = 0;
+    long residual = 0;
+    uint64_t hash = 1469598103934665603ull;
+
+    void add(const UnionFindDecoder& uf, bool logical)
+    {
+        flips += logical ? 1 : 0;
+        residual += uf.last_residual();
+        mix_decode(&hash, logical, uf.last_residual());
+    }
+};
+
+/** 64 uniform random syndromes of `g` at each density from 0.01 to 0.5. */
+DecodeDigest
+random_digest(const DecodingGraph& g, uint64_t seed)
+{
+    UnionFindDecoder uf(g);
+    Rng rng(seed);
+    DecodeDigest digest;
+    for (double density : {0.01, 0.05, 0.2, 0.5}) {
+        for (int t = 0; t < 64; ++t) {
+            std::vector<uint8_t> syndrome(g.n_nodes(), 0);
+            for (int v = 0; v < g.n_nodes(); ++v)
+                syndrome[v] = rng.bernoulli(density);
+            digest.add(uf, uf.decode(syndrome));
+        }
+    }
+    return digest;
+}
+
+DecodingGraph
+graph_of(const std::string& code_spec, int rounds)
+{
+    const std::unique_ptr<campaign::CodeInstance> code =
+        campaign::make_code(code_spec);
+    DemBuilder dem(code->code, code->rc, NoiseParams::standard(), rounds);
+    return dem.build();
+}
+
+TEST(UnionFindGolden, SurfaceThreeAndSevenRandomSyndromesDecodeToPinnedDigest)
+{
+    // The smallest and the largest surface code of the sweep, from one
+    // isolated defect per cluster to clusters spanning both boundaries.
+    const DecodeDigest d3 = random_digest(graph_of("surface:3", 3), 303);
+    EXPECT_EQ(d3.flips, 95);
+    EXPECT_EQ(d3.residual, 0);
+    EXPECT_EQ(d3.hash, 5248932833797730018ull);
+    const DecodeDigest d7 = random_digest(graph_of("surface:7", 7), 707);
+    EXPECT_EQ(d7.flips, 131);
+    EXPECT_EQ(d7.residual, 0);
+    EXPECT_EQ(d7.hash, 8933709249005261346ull);
+}
+
+TEST(UnionFindGolden, ColorSevenRandomSyndromesDecodeToPinnedDigest)
+{
+    // color:7's logical edge set is no coboundary of its decoding graph,
+    // so every cluster of every syndrome goes through the peel.
+    const DecodeDigest d = random_digest(graph_of("color:7", 7), 777);
+    EXPECT_EQ(d.flips, 125);
+    EXPECT_EQ(d.residual, 0);
+    EXPECT_EQ(d.hash, 5430813430023247970ull);
+}
+
+TEST(UnionFindGolden, GladiatorCorpusPointDecodesToPinnedDigest)
+{
+    // The Fig 12 surface:7 point under gladiator_m, outside the shared
+    // corpus so that corpus's digest stays as pinned.
+    const CorpusPoint pt =
+        build_point({"surface:7", 70, "gladiator_m"}, 1004);
+    UnionFindDecoder uf(*pt.graph);
+    long defects = 0;
+    DecodeDigest digest;
+    for (const std::vector<uint8_t>& syn : pt.syndromes) {
+        for (uint8_t b : syn)
+            defects += b;
+        digest.add(uf, uf.decode(syn));
+    }
+    EXPECT_EQ(defects, 3004);
+    EXPECT_EQ(digest.flips, 47);
+    EXPECT_EQ(digest.residual, 0);
+    EXPECT_EQ(digest.hash, 8208607443805162146ull);
 }
 
 std::vector<int>
