@@ -14,7 +14,7 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     edges_.reserve(n_edges);
     for (const GraphEdge& ge : graph.edges())
         edges_.push_back(
-            {ge.u, ge.v == GraphEdge::kBoundary ? n_ : ge.v, ge.logical});
+            {ge.u, ge.v == GraphEdge::kBoundary ? n_ : ge.v, ge.logical, 0});
     inc_begin_.reserve(n + 1);
     inc_begin_.push_back(0);
     for (const std::vector<int>& inc : graph.incidence()) {
@@ -24,7 +24,7 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
 
     node_.resize(n);
     for (int v = 0; v < n_; ++v)
-        node_[static_cast<size_t>(v)] = {v, 1, -1, -1, 0, -1, 0, 0, 0};
+        node_[static_cast<size_t>(v)] = {v, 1, -1, -1, 0, -1, 0, 0, 0, 0};
     // The boundary node n exists only in the peeling forest.
     tree_.assign(n + 1, {0, 0, -1, -1, 0, 0});
     edge_added_.assign(n_edges, 0);
@@ -37,6 +37,47 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     forest_adj_.resize(2 * n_edges);
     order_.reserve(n + 1);
     dense_defects_.reserve(n);
+
+    // phi: one BFS over the bulk edges per connected component, phi = 0
+    // at its first node.  in_cluster marks the labelled nodes and order_
+    // is the queue; both are back at their defaults afterwards.
+    labelled_ = true;
+    for (int s = 0; s < n_; ++s) {
+        if (node_[static_cast<size_t>(s)].in_cluster)
+            continue;
+        node_[static_cast<size_t>(s)].in_cluster = 1;
+        order_.assign(1, s);
+        for (size_t head = 0; head < order_.size(); ++head) {
+            const int x = order_[head];
+            const int k_end = inc_begin_[static_cast<size_t>(x) + 1];
+            for (int k = inc_begin_[static_cast<size_t>(x)]; k < k_end; ++k) {
+                const Edge& e = edges_[static_cast<size_t>(
+                    inc_edges_[static_cast<size_t>(k)])];
+                if (e.v == n_)
+                    continue;
+                const int y = e.u == x ? e.v : e.u;
+                Node& ny = node_[static_cast<size_t>(y)];
+                const uint8_t phi =
+                    node_[static_cast<size_t>(x)].phi ^ (e.logical ? 1 : 0);
+                if (!ny.in_cluster) {
+                    ny.in_cluster = 1;
+                    ny.phi = phi;
+                    order_.push_back(y);
+                } else if (ny.phi != phi) {
+                    labelled_ = false;
+                }
+            }
+        }
+    }
+    order_.clear();
+    for (Node& nv : node_)
+        nv.in_cluster = 0;
+    for (Edge& e : edges_) {
+        if (e.v == n_)
+            e.side = static_cast<uint8_t>(
+                1u << ((e.logical ? 1u : 0u) ^
+                       node_[static_cast<size_t>(e.u)].phi));
+    }
 }
 
 int
@@ -97,6 +138,15 @@ UnionFindDecoder::unite(int a, int b)
     na.fr_tail = tail;
 }
 
+bool
+UnionFindDecoder::must_peel(int root) const
+{
+    // Both sides, or an odd cluster with no boundary: the parity formula
+    // does not fix the answer (or, in the second case, the residual).
+    const Node& nr = node_[static_cast<size_t>(root)];
+    return !labelled_ || nr.boundary == 3 || (nr.boundary == 0 && nr.parity);
+}
+
 void
 UnionFindDecoder::bfs(int root)
 {
@@ -138,10 +188,11 @@ UnionFindDecoder::decode(const std::vector<uint8_t>& syndrome)
 bool
 UnionFindDecoder::decode_defects(const std::vector<int>& defects)
 {
-    if (defects.empty()) {
-        residual_ = 0;
+    residual_ = 0;
+    grown_edges_ = 0;
+    peeled_edges_ = 0;
+    if (defects.empty())
         return false;
-    }
     touched_.clear();
     added_edges_.clear();
     for (size_t i = 0; i < defects.size(); ++i) {
@@ -149,7 +200,6 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
         assert(v >= 0 && v < n_ && (i == 0 || defects[i - 1] < v));
         join(v);
         node_[static_cast<size_t>(v)].parity = 1;
-        tree_[static_cast<size_t>(v)].defect = 1;
     }
 
     // --- Growth. ---
@@ -180,7 +230,8 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                     added_edges_.push_back(e);
                     const Edge& ge = edges_[static_cast<size_t>(e)];
                     if (ge.v == n_) {
-                        node_[static_cast<size_t>(find(ge.u))].boundary = 1;
+                        node_[static_cast<size_t>(find(ge.u))].boundary |=
+                            ge.side;
                         continue;
                     }
                     if (!node_[static_cast<size_t>(ge.u)].in_cluster)
@@ -206,11 +257,65 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                     next_.end());
         odd_.swap(next_);
     }
+    grown_edges_ = static_cast<int>(added_edges_.size());
 
-    // --- Peeling forest: a CSR over the added edges' endpoints, each
-    // node's neighbours in added_edges_ order. ---
-    forest_nodes_.clear();
+    // --- Parity formula.  A cluster that reaches at most side s adds its
+    // defects' phi, and s once per defect: s if the cluster is odd, 0 if
+    // it is even.  The other clusters' defects are flagged for the peel.
+    bool logical = false;
+    bool any_peel = false;
+    for (int v : defects) {
+        const int r = find(v);
+        if (must_peel(r)) {
+            tree_[static_cast<size_t>(v)].defect = 1;
+            any_peel = true;
+        } else {
+            logical ^= (node_[static_cast<size_t>(v)].phi ^
+                        (node_[static_cast<size_t>(r)].boundary >> 1)) != 0;
+        }
+    }
+
+    // --- The peel set: the grown edges of those clusters, in growth
+    // order, filtered in place (every cluster holds a defect, so with
+    // none flagged the set is empty). ---
+    size_t kept = 0;
     for (int e : added_edges_) {
+        edge_added_[static_cast<size_t>(e)] = 0;
+        if (any_peel &&
+            must_peel(find(edges_[static_cast<size_t>(e)].u)))
+            added_edges_[kept++] = e;
+    }
+    added_edges_.resize(kept);
+    peeled_edges_ = static_cast<int>(kept);
+    if (!added_edges_.empty())
+        logical ^= peel(added_edges_);
+
+    // Residual + cleanup: a defect flag left on an input defect is
+    // unmatched; the peel counted and cleared those of the nodes it
+    // visited.  Every other piece of state goes back to its default
+    // through the touched list.
+    for (int v : defects) {
+        residual_ += tree_[static_cast<size_t>(v)].defect;
+        tree_[static_cast<size_t>(v)].defect = 0;
+    }
+    for (int v : touched_) {
+        Node& nv = node_[static_cast<size_t>(v)];
+        nv.parent = v;
+        nv.size = 1;
+        nv.parity = 0;
+        nv.boundary = 0;
+        nv.in_cluster = 0;
+    }
+    return logical;
+}
+
+bool
+UnionFindDecoder::peel(const std::vector<int>& edges)
+{
+    // --- Peeling forest: a CSR over the edges' endpoints, each node's
+    // neighbours in `edges` order. ---
+    forest_nodes_.clear();
+    for (int e : edges) {
         const Edge& ge = edges_[static_cast<size_t>(e)];
         for (int x : {ge.u, ge.v}) {
             if (tree_[static_cast<size_t>(x)].adj_deg++ == 0)
@@ -224,7 +329,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
         offset += tx.adj_deg;
         tx.adj_deg = 0;  // refilled below as the insertion cursor
     }
-    for (int e : added_edges_) {
+    for (int e : edges) {
         const Edge& ge = edges_[static_cast<size_t>(e)];
         Tree& tu = tree_[static_cast<size_t>(ge.u)];
         Tree& tv = tree_[static_cast<size_t>(ge.v)];
@@ -235,7 +340,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     }
     order_.clear();
     bfs(n_);  // clusters touching the boundary root at the boundary
-    for (int e : added_edges_) {
+    for (int e : edges) {
         const Edge& ge = edges_[static_cast<size_t>(e)];
         if (!tree_[static_cast<size_t>(ge.u)].visited)
             bfs(ge.u);
@@ -259,15 +364,8 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
             logical = !logical;
     }
 
-    // Residual + cleanup: a defect flag can only be set on an input
-    // defect or on a visited node (peeling flips parents, which are
-    // visited); the boundary's flag is not a defect.  Every other piece
-    // of state goes back to its default through the touched lists.
-    residual_ = 0;
-    for (int v : defects) {
-        residual_ += tree_[static_cast<size_t>(v)].defect;
-        tree_[static_cast<size_t>(v)].defect = 0;
-    }
+    // A defect flag left on a visited node (peeling flips parents, which
+    // are visited) is unmatched; the boundary's flag is not a defect.
     for (int v : order_) {
         Tree& tv = tree_[static_cast<size_t>(v)];
         if (v != n_)
@@ -279,16 +377,6 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     }
     for (int x : forest_nodes_)
         tree_[static_cast<size_t>(x)].adj_deg = 0;
-    for (int e : added_edges_)
-        edge_added_[static_cast<size_t>(e)] = 0;
-    for (int v : touched_) {
-        Node& nv = node_[static_cast<size_t>(v)];
-        nv.parent = v;
-        nv.size = 1;
-        nv.parity = 0;
-        nv.boundary = 0;
-        nv.in_cluster = 0;
-    }
     return logical;
 }
 

@@ -12,8 +12,20 @@ namespace gld {
 /**
  * Union-find decoder (Delfosse-Nickerson style, unweighted growth):
  * odd-parity clusters grow by absorbing their frontier edges until every
- * cluster has even defect parity or touches the boundary; a spanning-forest
- * peeling pass then selects a correction and returns its logical parity.
+ * cluster has even defect parity or touches the boundary; the decoder then
+ * returns the logical parity of a correction inside the grown clusters.
+ *
+ * Most clusters need no correction to be built.  At construction one BFS
+ * labels the nodes with a bit phi such that logical(e) = phi(u) ^ phi(v)
+ * on every bulk edge, and gives each boundary edge the side bit
+ * logical(e) ^ phi(u).  Clusters carry a two-bit mask of the sides their
+ * grown boundary edges reach.  Every correction inside a cluster that
+ * reaches at most one side s then has the same logical parity: the XOR of
+ * its defects' phi, plus s if the cluster is odd.  Only the clusters that
+ * reach both sides, odd clusters that reach neither (residual defects),
+ * and every cluster when no such labelling exists (e.g. color codes) go
+ * through a spanning-forest peel (Delfosse-Zemor), which selects one
+ * correction edge by edge.
  *
  * Near-matching accuracy at a fraction of MWPM's cost — and the paper's
  * LER comparisons are relative across leakage policies, which this
@@ -29,13 +41,18 @@ namespace gld {
  *  - Per-node state sits at its between-decode defaults; a decode resets
  *    exactly the nodes, edges and forest entries it touched (tracked in
  *    touched_, added_edges_, forest_nodes_ and order_), never O(n).
- *  - The peeling forest is a CSR built from added_edges_ in insertion
- *    order.
+ *  - The peeling forest is a CSR built from the peeled clusters' edges,
+ *    in the order they were grown.
  * The splice order is part of the output contract: frontiers join longer
  * list first, and on a tie the surviving root's list first.  It fixes the
  * order in which edges are grown, hence the peeling forest and the
- * predicted flip; the golden corpus in tests/test_union_find.cc pins the
- * decoder's exact output.  Not thread-safe; one instance per thread.
+ * predicted flip of a cluster that reaches both sides; the golden corpus
+ * in tests/test_union_find.cc pins the decoder's exact output.  Peeling a
+ * subset of the clusters builds each of them the same tree as peeling all
+ * of them would: the BFS from the boundary, then from the roots in growth
+ * order, dequeues each cluster's nodes in the same relative order either
+ * way, since clusters share no node but the boundary.  Not thread-safe;
+ * one instance per thread.
  */
 class UnionFindDecoder {
   public:
@@ -45,10 +62,11 @@ class UnionFindDecoder {
      * Decodes one syndrome given as its defect node ids, strictly
      * ascending, each in [0, n_nodes) — node (r, zc) = r * n_z + zc, so a
      * round-major scan produces the list in order.  An empty list returns
-     * false with no work (no defects means no growth and an empty forest),
-     * but that path is rare: on the Fig 12 LER sweep (p = 1e-3, lr = 0.1)
-     * fewer than 0.3% of syndromes are quiet and the mean is ~50 defects,
-     * so the decoder's cost is the per-defect growth and peeling below.
+     * false with no work, but that path is rare: on the Fig 12 LER sweep
+     * (p = 1e-3, lr = 0.1) fewer than 0.3% of syndromes are quiet.  The
+     * cost is growth, proportional to the edges grown, plus the peel of
+     * the clusters that reach both boundaries; under the LRC policies most
+     * syndromes have none (see last_peeled_edges()).
      * @return the predicted logical-observable flip.
      */
     bool decode_defects(const std::vector<int>& defects);
@@ -61,6 +79,10 @@ class UnionFindDecoder {
 
     /** Number of defects left unmatched by the last decode (0 = clean). */
     int last_residual() const { return residual_; }
+    /** Edges the last decode's growth added to its clusters. */
+    int last_grown_edges() const { return grown_edges_; }
+    /** Of those, the edges of the clusters the last decode peeled. */
+    int last_peeled_edges() const { return peeled_edges_; }
 
   private:
     /** Union-find state of one node; defaults hold between decodes. */
@@ -74,8 +96,9 @@ class UnionFindDecoder {
         int fr_len;
         int fr_next;  ///< next node of the list this node's range is in
         uint8_t parity;
-        uint8_t boundary;
+        uint8_t boundary;  ///< sides reached: bit 0 and/or bit 1
         uint8_t in_cluster;
+        uint8_t phi;  ///< coboundary label; immutable
     };
     /** Peeling-forest state of one node (index n is the boundary). */
     struct Tree {
@@ -91,14 +114,18 @@ class UnionFindDecoder {
         int u;
         int v;
         bool logical;
+        uint8_t side;  ///< boundary edges: 1 << (logical ^ phi(u))
     };
 
     int find(int v);
     void join(int v);
     void unite(int a, int b);
     void bfs(int root);
+    bool must_peel(int root) const;
+    bool peel(const std::vector<int>& edges);
 
     int n_;
+    bool labelled_;  ///< phi satisfies every edge
     // Immutable flattened graph.
     std::vector<Edge> edges_;
     std::vector<int> inc_begin_;  ///< n + 1 offsets into inc_edges_
@@ -117,6 +144,8 @@ class UnionFindDecoder {
     std::vector<int> order_;  ///< BFS visit order; doubles as the queue
     std::vector<int> dense_defects_;
     int residual_ = 0;
+    int grown_edges_ = 0;
+    int peeled_edges_ = 0;
 };
 
 }  // namespace gld

@@ -163,6 +163,7 @@ TEST(UnionFindDecoder, ReusableAcrossCalls)
  * sees (well over a hundred); `eraser_m` gives the mitigated regime.
  */
 struct CorpusPoint {
+    std::string policy;
     std::unique_ptr<campaign::CodeInstance> code;
     std::unique_ptr<DecodingGraph> graph;
     std::vector<std::vector<uint8_t>> syndromes;
@@ -181,6 +182,7 @@ build_point(const CorpusSpec& spec, uint64_t seed)
     const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
     const int kShots = 96;
     CorpusPoint pt;
+    pt.policy = spec.policy;
     pt.code = campaign::make_code(spec.code);
     const CssCode& code = pt.code->code;
     DemBuilder dem(code, pt.code->rc, np, spec.rounds);
@@ -407,6 +409,61 @@ defect_list(const std::vector<uint8_t>& syndrome)
             out.push_back(static_cast<int>(v));
     }
     return out;
+}
+
+TEST(UnionFindCounters, EraserCorpusMostlyPeelsNothing)
+{
+    // Under an LRC policy almost no cluster reaches both boundaries, so
+    // the parity formula decides almost every syndrome outright.  A DEM
+    // change that broke the node labelling would peel everything again
+    // and still pass every digest; it fails here.
+    int syndromes = 0;
+    int unpeeled = 0;
+    for (const CorpusPoint& pt : corpus()) {
+        if (pt.policy != "eraser_m")
+            continue;
+        UnionFindDecoder uf(*pt.graph);
+        for (const std::vector<uint8_t>& syn : pt.syndromes) {
+            uf.decode(syn);
+            ASSERT_LE(uf.last_peeled_edges(), uf.last_grown_edges());
+            ++syndromes;
+            unpeeled += uf.last_peeled_edges() == 0;
+        }
+    }
+    EXPECT_GE(unpeeled * 10, syndromes * 9)
+        << unpeeled << " of " << syndromes << " syndromes peeled nothing";
+}
+
+TEST(UnionFindCounters, ColorSevenPeelsEveryGrownEdge)
+{
+    // No labelling exists on color:7's graph: every cluster is peeled.
+    const DecodingGraph g = graph_of("color:7", 7);
+    UnionFindDecoder uf(g);
+    Rng rng(7);
+    long grown = 0;
+    for (int t = 0; t < 64; ++t) {
+        std::vector<uint8_t> syndrome(g.n_nodes(), 0);
+        for (int v = 0; v < g.n_nodes(); ++v)
+            syndrome[v] = rng.bernoulli(0.05);
+        uf.decode(syndrome);
+        ASSERT_EQ(uf.last_peeled_edges(), uf.last_grown_edges());
+        grown += uf.last_grown_edges();
+    }
+    EXPECT_GT(grown, 0);
+}
+
+TEST(UnionFindCounters, QuietSyndromeGrowsAndPeelsNothing)
+{
+    const DecodingGraph g = graph_of("surface:3", 3);
+    UnionFindDecoder uf(g);
+    std::vector<uint8_t> syndrome(g.n_nodes(), 0);
+    syndrome[0] = 1;
+    uf.decode(syndrome);
+    EXPECT_GT(uf.last_grown_edges(), 0);
+    syndrome[0] = 0;
+    uf.decode(syndrome);
+    EXPECT_EQ(uf.last_grown_edges(), 0);
+    EXPECT_EQ(uf.last_peeled_edges(), 0);
 }
 
 TEST(UnionFindGolden, DenseAdapterMatchesDefectListEntry)
