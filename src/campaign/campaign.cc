@@ -1106,6 +1106,10 @@ read_progress(const CampaignSpec& spec, int n_shards,
               const std::string& out_dir)
 {
     ShardPlan::validate(0, n_shards);
+    // A shard plans at most every job and, summed over its streams, at
+    // most spec.shots shots of each.
+    const int64_t plan_jobs = static_cast<int64_t>(spec.expand().size());
+    const int64_t plan_shots = plan_jobs * spec.shots;
     std::vector<ShardProgress> out;
     for (int shard = 0; shard < n_shards; ++shard) {
         ShardProgress p;
@@ -1143,6 +1147,18 @@ read_progress(const CampaignSpec& spec, int n_shards,
                         for (int s = 0; s < telemetry::kStageCount; ++s)
                             p.stage_ns[s] = static_cast<uint64_t>(
                                 count(js, telemetry::stage_name(s)));
+                        // A line that contradicts itself or the plan is
+                        // garbled too; the bounds also keep status's
+                        // fleet sums far from overflow.
+                        if (p.jobs_resumed > p.jobs_done ||
+                            p.jobs_done > p.jobs_total ||
+                            p.jobs_total > plan_jobs ||
+                            p.shots_done > p.shots_total ||
+                            p.shots_total > plan_shots ||
+                            !std::isfinite(p.shots_per_second) ||
+                            p.shots_per_second < 0.0)
+                            throw std::runtime_error(
+                                "progress line contradicts the plan");
                     } catch (const std::exception&) {
                         p.valid = false;  // torn/garbled: try previous
                     }

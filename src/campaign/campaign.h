@@ -375,7 +375,14 @@ struct ShardProgress {
     uint64_t stage_ns[4] = {0, 0, 0, 0};  ///< telemetry::kStageCount
 };
 
-/** Reads every shard's latest heartbeat (missing files -> !valid). */
+/**
+ * Reads every shard's latest heartbeat (missing files -> !valid).  A line
+ * counts as torn, and the previous one is read instead, when it does not
+ * parse, a count is negative or exceeds its total (resumed <= done <=
+ * total jobs, done <= total shots), a total exceeds the plan
+ * (spec.expand().size() jobs, spec.shots shots per job), or its rate is
+ * non-finite or negative.
+ */
 std::vector<ShardProgress> read_progress(const CampaignSpec& spec,
                                          int n_shards,
                                          const std::string& out_dir);

@@ -1086,6 +1086,78 @@ TEST(Observability, NegativeCountsInTelemetryAndProgressAreSkipped)
     }
 }
 
+// A heartbeat whose totals exceed the plan, whose counts exceed their
+// totals or whose rate is negative is skipped like a torn one.  Two
+// shards' lines near INT64_MAX used to overflow status's signed fleet
+// sums.
+TEST(Observability, HeartbeatsBeyondThePlanAreSkipped)
+{
+    const CampaignSpec spec = small_spec("observe_beyond_plan");
+    const std::string dir = fresh_dir("observe_beyond_plan");
+    RunShardOptions opt;
+    opt.threads = 1;
+    for (int shard = 0; shard < 2; ++shard)
+        run_shard(spec, shard, 2, dir, opt);
+    const auto status = [&] {
+        ::testing::internal::CaptureStdout();
+        print_status(spec, 2, dir);
+        return ::testing::internal::GetCapturedStdout();
+    };
+    const std::vector<ShardProgress> good = read_progress(spec, 2, dir);
+    const std::string clean = status();
+    std::vector<std::string> paths, beats, lasts;
+    for (int shard = 0; shard < 2; ++shard) {
+        ASSERT_TRUE(good[static_cast<size_t>(shard)].valid);
+        paths.push_back(progress_path(dir, spec, shard, 2));
+        beats.push_back(io::read_file(paths.back()));
+        lasts.push_back(beats.back().substr(
+            beats.back().rfind('\n', beats.back().size() - 2) + 1));
+    }
+    const auto expect_good = [&](const char* what) {
+        SCOPED_TRACE(what);
+        const std::vector<ShardProgress> got = read_progress(spec, 2, dir);
+        for (size_t s = 0; s < 2; ++s) {
+            ASSERT_TRUE(got[s].valid);
+            EXPECT_EQ(got[s].jobs_done, good[s].jobs_done);
+            EXPECT_EQ(got[s].jobs_resumed, good[s].jobs_resumed);
+            EXPECT_EQ(got[s].jobs_total, good[s].jobs_total);
+            EXPECT_EQ(got[s].shots_done, good[s].shots_done);
+            EXPECT_EQ(got[s].shots_total, good[s].shots_total);
+            EXPECT_EQ(got[s].shots_per_second, good[s].shots_per_second);
+        }
+        EXPECT_EQ(status(), clean);
+    };
+
+    const std::string huge = "9223372036854775000";
+    for (size_t s = 0; s < 2; ++s)
+        io::write_file_atomic(
+            paths[s], beats[s] + with_count(with_count(lasts[s], "shots_done",
+                                                       huge),
+                                            "shots_total", huge));
+    expect_good("both shards near INT64_MAX");
+
+    const int64_t plan_jobs = static_cast<int64_t>(spec.expand().size());
+    const ShardProgress& g0 = good[0];
+    const struct {
+        const char* key;
+        int64_t value;
+    } cases[] = {
+        {"jobs_total", plan_jobs + 1},
+        {"shots_total", plan_jobs * spec.shots + 1},
+        {"jobs_done", g0.jobs_total + 1},
+        {"jobs_resumed", g0.jobs_done + 1},
+        {"shots_done", g0.shots_total + 1},
+        {"shots_per_second", -1},
+    };
+    io::write_file_atomic(paths[1], beats[1]);
+    for (const auto& c : cases) {
+        io::write_file_atomic(
+            paths[0],
+            beats[0] + with_count(lasts[0], c.key, std::to_string(c.value)));
+        expect_good(c.key);
+    }
+}
+
 }  // namespace
 }  // namespace campaign
 }  // namespace gld

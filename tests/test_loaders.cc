@@ -9,10 +9,17 @@
 // small campaign: every strict prefix is refused, every single-bit flip
 // is refused or merges to the clean run's shot, round and decode counts,
 // and no refusal leaves a merged file behind.
+//
+// The progress slice does the same to a shard's heartbeat file: status
+// reads the last complete line of every strict prefix, and every
+// single-bit flip either loads a heartbeat within the plan or falls back
+// to an earlier line.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <functional>
@@ -271,6 +278,127 @@ TEST(ShardMutation, EverySingleBitFlipIsRefusedOrKeepsTheCounts)
     // syntax and contradicted counts do not.
     EXPECT_GT(merged, 0);
     EXPECT_GT(refused, 0);
+}
+
+// --- Progress (heartbeat) mutation slice. ---
+
+/** A one-shard campaign's heartbeat file, read back after each mutation. */
+struct MutatedProgress {
+    campaign::CampaignSpec spec;
+    std::string dir;
+    std::string path;
+    std::string text;  ///< the heartbeat file as written
+
+    MutatedProgress()
+    {
+        spec.name = "heartbeat";
+        spec.seed = 0xBEA7ull;
+        spec.shots = 6;
+        spec.rounds = 3;
+        spec.rng_streams = 2;
+        spec.codes = {"surface:3"};
+        spec.policies = {"eraser_m", "no_lrc"};
+        spec.noise = {NoiseParams::standard(1e-2, 1.0)};
+        dir = ::testing::TempDir() + "gld_loaders_" +
+              std::to_string(::getpid()) + "_heartbeat";
+        campaign::RunShardOptions opt;
+        opt.threads = 1;
+        campaign::run_shard(spec, 0, 1, dir, opt);
+        path = campaign::progress_path(dir, spec, 0, 1);
+        text = io::read_file(path);
+    }
+
+    /** Status over `bytes` as the heartbeat file, then its snapshot. */
+    campaign::ShardProgress read(const std::string& bytes)
+    {
+        io::write_file_atomic(path, bytes);
+        ::testing::internal::CaptureStdout();
+        campaign::print_status(spec, 1, dir);
+        ::testing::internal::GetCapturedStdout();
+        return campaign::read_progress(spec, 1, dir).at(0);
+    }
+};
+
+bool
+same_progress(const campaign::ShardProgress& a,
+              const campaign::ShardProgress& b)
+{
+    for (int s = 0; s < telemetry::kStageCount; ++s) {
+        if (a.stage_ns[s] != b.stage_ns[s])
+            return false;
+    }
+    return a.valid == b.valid && a.done == b.done &&
+           a.jobs_done == b.jobs_done && a.jobs_resumed == b.jobs_resumed &&
+           a.jobs_total == b.jobs_total && a.shots_done == b.shots_done &&
+           a.shots_total == b.shots_total && a.wall_ns == b.wall_ns &&
+           a.shots_per_second == b.shots_per_second;
+}
+
+TEST(ProgressMutation, EveryStrictPrefixReadsItsLastCompleteLine)
+{
+    MutatedProgress m;
+    // Each line's heartbeat on its own, and where the line ends.
+    std::vector<size_t> line_end;
+    std::vector<campaign::ShardProgress> line_beat;
+    for (size_t begin = 0; begin < m.text.size();) {
+        const size_t end = m.text.find('\n', begin);
+        ASSERT_NE(end, std::string::npos);
+        line_beat.push_back(m.read(m.text.substr(begin, end - begin)));
+        ASSERT_TRUE(line_beat.back().valid);
+        line_end.push_back(end);
+        begin = end + 1;
+    }
+    ASSERT_GE(line_end.size(), 2u);
+    for (size_t n = 0; n < m.text.size(); ++n) {
+        const campaign::ShardProgress p = m.read(m.text.substr(0, n));
+        size_t whole = 0;  // lines the prefix holds entirely
+        while (whole < line_end.size() && line_end[whole] <= n)
+            ++whole;
+        if (whole == 0)
+            EXPECT_FALSE(p.valid) << "prefix of " << n << " bytes";
+        else
+            EXPECT_TRUE(same_progress(p, line_beat[whole - 1]))
+                << "prefix of " << n << " bytes";
+    }
+}
+
+TEST(ProgressMutation, EverySingleBitFlipLoadsWithinThePlanOrFallsBack)
+{
+    MutatedProgress m;
+    const campaign::ShardProgress clean = m.read(m.text);
+    ASSERT_TRUE(clean.valid);
+    const int64_t plan_jobs = static_cast<int64_t>(m.spec.expand().size());
+    int kept = 0;
+    int changed = 0;
+    for (size_t i = 0; i < m.text.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = m.text;
+            bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+            const campaign::ShardProgress p = m.read(bad);
+            if (same_progress(p, clean)) {
+                ++kept;
+                continue;
+            }
+            ++changed;
+            if (!p.valid)
+                continue;
+            SCOPED_TRACE("byte " + std::to_string(i) + " bit " +
+                         std::to_string(bit));
+            EXPECT_LE(0, p.jobs_resumed);
+            EXPECT_LE(p.jobs_resumed, p.jobs_done);
+            EXPECT_LE(p.jobs_done, p.jobs_total);
+            EXPECT_LE(p.jobs_total, plan_jobs);
+            EXPECT_LE(0, p.shots_done);
+            EXPECT_LE(p.shots_done, p.shots_total);
+            EXPECT_LE(p.shots_total, plan_jobs * m.spec.shots);
+            EXPECT_TRUE(std::isfinite(p.shots_per_second));
+            EXPECT_GE(p.shots_per_second, 0.0);
+        }
+    }
+    // Both outcomes occur: a flip in an earlier line or one the last line
+    // refuses keeps the clean heartbeat, a flipped digit loads.
+    EXPECT_GT(kept, 0);
+    EXPECT_GT(changed, 0);
 }
 
 }  // namespace
