@@ -122,6 +122,12 @@ class UnionFindDecoder {
     void unite(int a, int b);
     void bfs(int root);
     bool must_peel(int root) const;
+    /**
+     * Builds the forest over `edges` (the grown edges of the clusters to
+     * peel, in growth order; their defects flagged in tree_), peels it,
+     * adds the visited nodes' unmatched defects to residual_ and resets
+     * the forest state.  Returns the correction's logical parity.
+     */
     bool peel(const std::vector<int>& edges);
 
     int n_;
