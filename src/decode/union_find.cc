@@ -241,9 +241,12 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                     unite(ge.u, ge.v);
                 }
             }
+            // An empty frontier means every edge at the cluster's nodes
+            // is grown: it fills a component with no boundary edge and
+            // stays odd (a residual) however long it grows.
             const int r2 = find(r);
             const Node& n2 = node_[static_cast<size_t>(r2)];
-            if (n2.parity && !n2.boundary)
+            if (n2.parity && !n2.boundary && n2.fr_head >= 0)
                 next_.push_back(r2);
         }
         std::sort(next_.begin(), next_.end());

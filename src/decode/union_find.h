@@ -12,7 +12,9 @@ namespace gld {
 /**
  * Union-find decoder (Delfosse-Nickerson style, unweighted growth):
  * odd-parity clusters grow by absorbing their frontier edges until every
- * cluster has even defect parity or touches the boundary; the decoder then
+ * cluster has even defect parity, touches the boundary or fills a
+ * connected component that has no boundary edge (each of bpc's DEM
+ * components is one; its odd clusters are residual); the decoder then
  * returns the logical parity of a correction inside the grown clusters.
  *
  * Most clusters need no correction to be built.  At construction one BFS

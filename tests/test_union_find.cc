@@ -138,6 +138,57 @@ TEST(UnionFindDecoder, ResidualIsZeroOnRandomSyndromes)
     }
 }
 
+TEST(UnionFindDecoder, OddComponentWithoutBoundaryIsResidual)
+{
+    // bpc's DEM splits into components with no boundary edge.  An odd
+    // cluster there grows over its whole component and stops: it counts
+    // one residual defect instead of growing forever.
+    const std::unique_ptr<campaign::CodeInstance> code =
+        campaign::make_code("bpc");
+    DemBuilder dem(code->code, code->rc, NoiseParams::standard(), 3);
+    const DecodingGraph g = dem.build();
+    std::vector<int> comp(g.n_nodes(), -1);
+    int n_comps = 0;
+    for (int s = 0; s < g.n_nodes(); ++s) {
+        if (comp[s] >= 0)
+            continue;
+        std::vector<int> queue{s};
+        comp[s] = n_comps;
+        for (size_t head = 0; head < queue.size(); ++head) {
+            for (int e : g.incidence()[queue[head]]) {
+                const GraphEdge& ge = g.edges()[e];
+                ASSERT_NE(ge.v, GraphEdge::kBoundary);
+                const int y = ge.u == queue[head] ? ge.v : ge.u;
+                if (comp[y] < 0) {
+                    comp[y] = n_comps;
+                    queue.push_back(y);
+                }
+            }
+        }
+        ++n_comps;
+    }
+    ASSERT_GT(n_comps, 1);
+
+    UnionFindDecoder uf(g);
+    Rng rng(9);
+    int residual = 0;
+    for (int t = 0; t < 64; ++t) {
+        std::vector<uint8_t> syndrome(g.n_nodes(), 0);
+        std::vector<int> odd(n_comps, 0);
+        for (int v = 0; v < g.n_nodes(); ++v) {
+            syndrome[v] = rng.bernoulli(0.1);
+            odd[comp[v]] ^= syndrome[v];
+        }
+        uf.decode(syndrome);
+        int expected = 0;
+        for (int o : odd)
+            expected += o;
+        EXPECT_EQ(uf.last_residual(), expected);
+        residual += uf.last_residual();
+    }
+    EXPECT_GT(residual, 0);
+}
+
 TEST(UnionFindDecoder, ReusableAcrossCalls)
 {
     const CssCode code = SurfaceCode::make(3);
