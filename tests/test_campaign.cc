@@ -1087,9 +1087,9 @@ TEST(Observability, NegativeCountsInTelemetryAndProgressAreSkipped)
 }
 
 // A heartbeat whose totals exceed the plan, whose counts exceed their
-// totals or whose rate is negative is skipped like a torn one.  Two
-// shards' lines near INT64_MAX used to overflow status's signed fleet
-// sums.
+// totals or whose rate is negative is skipped like a torn one.  Read as
+// valid, two shards' lines near INT64_MAX would overflow status's signed
+// fleet sums.
 TEST(Observability, HeartbeatsBeyondThePlanAreSkipped)
 {
     const CampaignSpec spec = small_spec("observe_beyond_plan");
