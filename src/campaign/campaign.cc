@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "campaign/registry.h"
@@ -175,6 +177,100 @@ job_cost_units(const JobSpec& job, int n_qubits, long shots)
            backend_cost_factor(job.cfg.backend, n_qubits);
 }
 
+// --- Per-job file identity. ---
+
+void
+check_shard_geometry(int shard, int n_shards)
+{
+    if (n_shards < 1)
+        throw std::runtime_error("shard plan: n_shards must be >= 1");
+    if (shard < 0 || shard >= n_shards)
+        throw std::runtime_error("shard plan: shard index " +
+                                 std::to_string(shard) + " outside [0, " +
+                                 std::to_string(n_shards) + ")");
+}
+
+namespace {
+
+/**
+ * The identity header every per-job file opens with (see campaign.h);
+ * `shard` < 0 marks a job-level file, which carries no shard field.
+ */
+Json
+job_file_header(const CampaignSpec& spec, const JobSpec& job, int n_shards,
+                int shard = -1)
+{
+    Json j = Json::object();
+    j.set("gld_version", Json::integer(io::kSerializeVersion));
+    j.set("campaign", Json::str(spec.name));
+    j.set("job", Json::integer(job.index));
+    j.set("code", Json::str(job.code));
+    j.set("policy", Json::str(job.policy));
+    j.set("config_hash",
+          Json::str(io::u64_to_hex(io::config_hash(job.cfg))));
+    if (shard >= 0)
+        j.set("shard", Json::integer(shard));
+    j.set("n_shards", Json::integer(n_shards));
+    return j;
+}
+
+/**
+ * The first field of file header `j` that differs from the header
+ * job_file_header writes for `job` — "field = got, want W" — or "" when
+ * none does.  A job-level file (`shard` < 0) records the geometry it was
+ * merged from, which the reader does not know, so its n_shards is not
+ * checked.  A missing field throws.
+ */
+std::string
+job_file_mismatch(const Json& j, const CampaignSpec& spec, const JobSpec& job,
+                  int n_shards, int shard = -1)
+{
+    const Json header = job_file_header(spec, job, n_shards, shard);
+    for (const auto& [key, want] : header.items()) {
+        if (shard < 0 && key == "n_shards")
+            continue;
+        const std::string got = j[key].dump();
+        if (got != want.dump())
+            return key + " = " + got + ", want " + want.dump();
+    }
+    return "";
+}
+
+/**
+ * Calls `use` on every shard telemetry file of `job` in `out_dir` whose
+ * header names the job.  A file that does not parse, names another job
+ * or makes `use` throw is skipped — or, with `strict`, refused naming the
+ * file.
+ */
+void
+read_job_telemetry(const CampaignSpec& spec, const JobSpec& job, int n_shards,
+                   const std::string& out_dir, bool strict,
+                   const std::function<void(const Json&)>& use)
+{
+    check_shard_geometry(0, n_shards);
+    for (int shard = 0; shard < n_shards; ++shard) {
+        const std::string path =
+            telemetry_path(out_dir, spec, job.index, shard, n_shards);
+        if (!io::file_exists(path))
+            continue;
+        try {
+            const Json j = Json::parse(io::read_file(path));
+            const std::string why =
+                job_file_mismatch(j, spec, job, n_shards, shard);
+            if (!why.empty())
+                throw std::runtime_error("belongs to a different job (" +
+                                         why + ")");
+            use(j);
+        } catch (const std::exception& e) {
+            if (strict)
+                throw std::runtime_error("telemetry " + path + ": " +
+                                         e.what() + "; re-run that shard");
+        }
+    }
+}
+
+}  // namespace
+
 // --- Calibration. ---
 
 double
@@ -222,24 +318,17 @@ Calibration
 Calibration::from_telemetry(const CampaignSpec& spec, int n_shards,
                             const std::string& out_dir)
 {
-    ShardPlan::validate(0, n_shards);
     struct Sum {
         double shots = 0.0;
         double seconds = 0.0;
     };
     std::map<std::string, Sum> sums;
     for (const JobSpec& job : spec.expand()) {
-        const std::string want_hash =
-            io::u64_to_hex(io::config_hash(job.cfg));
-        for (int shard = 0; shard < n_shards; ++shard) {
-            const std::string path =
-                telemetry_path(out_dir, spec, job.index, shard, n_shards);
-            if (!io::file_exists(path))
-                continue;
-            try {
-                const Json j = Json::parse(io::read_file(path));
-                if (j["config_hash"].as_str() != want_hash)
-                    continue;  // stale telemetry: never calibrate on it
+        // A garbled or foreign file is skipped, like resume does: never
+        // calibrate on it.
+        read_job_telemetry(
+            spec, job, n_shards, out_dir, /*strict=*/false,
+            [&](const Json& j) {
                 const int64_t shots = io::count_value(j["shots"], "shots");
                 const int64_t wall_ns =
                     io::count_value(j["wall_ns"], "wall_ns");
@@ -247,10 +336,7 @@ Calibration::from_telemetry(const CampaignSpec& spec, int n_shards,
                                   job.cfg.batch_words)];
                 s.shots += static_cast<double>(shots);
                 s.seconds += static_cast<double>(wall_ns) * 1e-9;
-            } catch (const std::exception&) {
-                continue;  // garbled file: skip, like resume does
-            }
-        }
+            });
     }
     Calibration cal;
     for (const auto& kv : sums) {
@@ -264,19 +350,6 @@ Calibration::from_telemetry(const CampaignSpec& spec, int n_shards,
     return cal;
 }
 
-// --- ShardPlan. ---
-
-void
-ShardPlan::validate(int shard, int n_shards)
-{
-    if (n_shards < 1)
-        throw std::runtime_error("shard plan: n_shards must be >= 1");
-    if (shard < 0 || shard >= n_shards)
-        throw std::runtime_error("shard plan: shard index " +
-                                 std::to_string(shard) + " outside [0, " +
-                                 std::to_string(n_shards) + ")");
-}
-
 // --- CampaignPlan (greedy LPT over per-stream cost units). ---
 
 CampaignPlan
@@ -287,7 +360,7 @@ CampaignPlan::build(
 {
     if (calib != nullptr && calib->empty())
         calib = nullptr;
-    ShardPlan::validate(0, n_shards);
+    check_shard_geometry(0, n_shards);
     const std::vector<JobSpec> jobs = spec.expand();
 
     CampaignPlan plan;
@@ -440,17 +513,15 @@ heatmap_path(const std::string& out_dir, const CampaignSpec& spec,
 namespace {
 
 /**
- * Why per-stream Metrics `m` cannot be stream `stream` of a run of
- * `cfg` — the first contradicting field — or "" when nothing does: the
- * stream runs its share of cfg.shots, each for cfg.rounds rounds,
- * decoded iff compute_ler, with one DLP entry per round iff recorded,
- * and every total counts events.
+ * Why Metrics `m` cannot be `shots` shots of a run of `cfg` — one
+ * stream's share, or the whole job's — giving the first contradicting
+ * field, or "" when nothing does: each shot runs cfg.rounds rounds,
+ * decoded iff compute_ler, with one DLP entry per round iff recorded
+ * and any shot ran, and every total counts events.
  */
 std::string
-stream_metrics_mismatch(const Metrics& m, const ExperimentConfig& cfg,
-                        int stream)
+metrics_mismatch(const Metrics& m, const ExperimentConfig& cfg, long shots)
 {
-    const long shots = ExperimentRunner::stream_shots(cfg, stream);
     const long rounds = cfg.rounds;
     const struct {
         const char* field;
@@ -460,7 +531,7 @@ stream_metrics_mismatch(const Metrics& m, const ExperimentConfig& cfg,
         {"rounds_per_shot", m.rounds_per_shot, rounds},
         {"decoded_shots", m.decoded_shots, cfg.compute_ler ? shots : 0},
         {"dlp_series length", static_cast<long>(m.dlp_series.size()),
-         cfg.record_dlp_series ? rounds : 0},
+         cfg.record_dlp_series && shots > 0 ? rounds : 0},
     };
     for (const auto& c : counts) {
         if (c.got != c.want)
@@ -505,21 +576,9 @@ shard_result_valid(const std::string& path, const CampaignSpec& spec,
         return false;
     try {
         const Json j = Json::parse(io::read_file(path));
-        if (j["gld_version"].as_int() != io::kSerializeVersion)
-            return false;
-        // The config hash covers ExperimentConfig only; code and policy
-        // live beside it in the JobSpec (and, with paired seeds, jobs at
-        // one grid point have IDENTICAL configs), so identity must be
-        // checked explicitly or an edited spec resumes mislabeled
-        // results.
-        if (j["campaign"].as_str() != spec.name ||
-            j["code"].as_str() != job.code ||
-            j["policy"].as_str() != job.policy)
-            return false;
-        if (j["config_hash"].as_str() !=
-            io::u64_to_hex(io::config_hash(job.cfg)))
-            return false;
-        if (j["shard"].as_int() != shard || j["n_shards"].as_int() != n_shards)
+        // The whole header, not just the config hash: with paired seeds
+        // an edited spec would otherwise resume mislabeled results.
+        if (!job_file_mismatch(j, spec, job, n_shards, shard).empty())
             return false;
         // The expected stream set comes from the (deterministic) campaign
         // plan: a file produced under a different plan — e.g. the old
@@ -534,9 +593,10 @@ shard_result_valid(const std::string& path, const CampaignSpec& spec,
                 return false;
             // A file whose Metrics contradict the job is stale, however
             // it got that way: recompute it.
-            if (!stream_metrics_mismatch(
-                     io::metrics_from_json(entry["metrics"]), job.cfg,
-                     want_streams[i])
+            if (!metrics_mismatch(io::metrics_from_json(entry["metrics"]),
+                                  job.cfg,
+                                  ExperimentRunner::stream_shots(
+                                      job.cfg, want_streams[i]))
                      .empty())
                 return false;
         }
@@ -687,7 +747,7 @@ RunShardStats
 run_shard(const CampaignSpec& spec, int shard, int n_shards,
           const std::string& out_dir, const RunShardOptions& opt)
 {
-    ShardPlan::validate(shard, n_shards);
+    check_shard_geometry(shard, n_shards);
     io::make_dirs(out_dir);
     const std::vector<JobSpec> jobs = spec.expand();
     // Cost-balanced stream->shard assignment, identical in every process
@@ -699,9 +759,6 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
         CampaignPlan::build(spec, n_shards, &codes, opt.calibration);
     std::atomic<int> jobs_run{0};
     std::atomic<int> jobs_resumed{0};
-    const int threads = opt.threads;
-    const bool verbose = opt.verbose;
-    const int jobs_parallel = opt.jobs_parallel;
 
     // Telemetry is a pure side channel end to end: with it off this
     // function produces byte-identical result files along the exact
@@ -722,9 +779,10 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     // loop is live, instead of being statically fenced off by the old
     // budget division, which still oversubscribed via nested spawns).
     const int pool_size = std::max(
-        1, std::min<int>(std::max(1, jobs_parallel),
+        1, std::min<int>(std::max(1, opt.jobs_parallel),
                          static_cast<int>(jobs.size())));
-    const int job_threads = threads > 0 ? threads : BenchConfig::threads();
+    const int job_threads =
+        opt.threads > 0 ? opt.threads : BenchConfig::threads();
 
     const auto run_one_job = [&](const JobSpec& job) {
         const std::vector<int>& streams =
@@ -740,7 +798,7 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
             if (tracker != nullptr)
                 tracker->job_finished(job.index, /*resumed=*/true,
                                       planned_shots, nullptr);
-            if (verbose)
+            if (opt.verbose)
                 std::printf("  job %04d [%s / %s]: resume — result "
                             "up-to-date\n",
                             job.index, job.code.c_str(), job.policy.c_str());
@@ -782,16 +840,7 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
                 rec = col->merged();
         }
 
-        Json j = Json::object();
-        j.set("gld_version", Json::integer(io::kSerializeVersion));
-        j.set("campaign", Json::str(spec.name));
-        j.set("job", Json::integer(job.index));
-        j.set("code", Json::str(job.code));
-        j.set("policy", Json::str(job.policy));
-        j.set("config_hash",
-              Json::str(io::u64_to_hex(io::config_hash(job.cfg))));
-        j.set("shard", Json::integer(shard));
-        j.set("n_shards", Json::integer(n_shards));
+        Json j = job_file_header(spec, job, n_shards, shard);
         Json jstreams = Json::array();
         for (size_t i = 0; i < streams.size(); ++i) {
             Json entry = Json::object();
@@ -806,17 +855,8 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
             // The job's telemetry export, beside its result file: run
             // identity + the merged record + a measured-vs-modeled round
             // time (the hw/ timing model priced against the sim stage).
-            Json t = Json::object();
-            t.set("gld_version", Json::integer(io::kSerializeVersion));
-            t.set("campaign", Json::str(spec.name));
-            t.set("job", Json::integer(job.index));
-            t.set("code", Json::str(job.code));
-            t.set("policy", Json::str(job.policy));
+            Json t = job_file_header(spec, job, n_shards, shard);
             t.set("backend", Json::str(backend_name(job.cfg.backend)));
-            t.set("config_hash",
-                  Json::str(io::u64_to_hex(io::config_hash(job.cfg))));
-            t.set("shard", Json::integer(shard));
-            t.set("n_shards", Json::integer(n_shards));
             const Json ex =
                 telemetry::export_to_json(rec, job_wall_ns, job_threads);
             for (const auto& kv : ex.items())
@@ -850,7 +890,7 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
             tracker->job_finished(job.index, /*resumed=*/false,
                                   planned_shots,
                                   streams.empty() ? nullptr : &rec);
-        if (verbose)
+        if (opt.verbose)
             std::printf("  job %04d [%s / %s]: ran %zu stream(s) -> %s\n",
                         job.index, job.code.c_str(), job.policy.c_str(),
                         streams.size(), path.c_str());
@@ -900,15 +940,13 @@ std::vector<Metrics>
 merge_campaign(const CampaignSpec& spec, int n_shards,
                const std::string& out_dir)
 {
-    if (n_shards < 1)
-        throw std::runtime_error("merge: n_shards must be >= 1");
+    check_shard_geometry(0, n_shards);
     std::vector<Metrics> merged;
     // Every job's shard files load before the first merged file is
     // written, so a refused file leaves no partial merge behind.
     std::vector<std::pair<std::string, std::string>> files;
     for (const JobSpec& job : spec.expand()) {
         const int total = ExperimentRunner::n_streams(job.cfg);
-        const std::string want_hash = io::u64_to_hex(io::config_hash(job.cfg));
         std::vector<Metrics> parts(static_cast<size_t>(total));
         std::vector<uint8_t> seen(static_cast<size_t>(total), 0);
 
@@ -921,19 +959,12 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
                                          std::to_string(shard) + "/" +
                                          std::to_string(n_shards) + " first)");
             const Json j = Json::parse(io::read_file(path));
-            if (j["campaign"].as_str() != spec.name ||
-                j["code"].as_str() != job.code ||
-                j["policy"].as_str() != job.policy)
-                throw std::runtime_error(
-                    "merge: " + path + " belongs to a different job (" +
-                    j["code"].as_str() + " / " + j["policy"].as_str() +
-                    ", want " + job.code + " / " + job.policy +
-                    "); re-run that shard");
-            if (j["config_hash"].as_str() != want_hash)
-                throw std::runtime_error(
-                    "merge: " + path + " was produced under a different "
-                    "config (hash " + j["config_hash"].as_str() +
-                    ", want " + want_hash + "); re-run that shard");
+            const std::string who =
+                job_file_mismatch(j, spec, job, n_shards, shard);
+            if (!who.empty())
+                throw std::runtime_error("merge: " + path +
+                                         " belongs to a different job (" +
+                                         who + "); re-run that shard");
             const Json& jstreams = j["streams"];
             for (size_t i = 0; i < jstreams.size(); ++i) {
                 const Json& entry = jstreams.at(i);
@@ -950,8 +981,8 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
                 seen[static_cast<size_t>(s)] = 1;
                 Metrics& part = parts[static_cast<size_t>(s)];
                 part = io::metrics_from_json(entry["metrics"]);
-                const std::string why =
-                    stream_metrics_mismatch(part, job.cfg, s);
+                const std::string why = metrics_mismatch(
+                    part, job.cfg, ExperimentRunner::stream_shots(job.cfg, s));
                 if (!why.empty())
                     throw std::runtime_error(
                         "merge: " + path + " stream " + std::to_string(s) +
@@ -973,14 +1004,7 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
         for (const Metrics& part : parts)
             m.merge(part);
 
-        Json out = Json::object();
-        out.set("gld_version", Json::integer(io::kSerializeVersion));
-        out.set("campaign", Json::str(spec.name));
-        out.set("job", Json::integer(job.index));
-        out.set("code", Json::str(job.code));
-        out.set("policy", Json::str(job.policy));
-        out.set("config_hash", Json::str(want_hash));
-        out.set("n_shards", Json::integer(n_shards));
+        Json out = job_file_header(spec, job, n_shards);
         out.set("metrics", io::metrics_to_json(m));
         files.emplace_back(merged_result_path(out_dir, spec, job.index),
                            out.dump(2) + "\n");
@@ -1002,58 +1026,22 @@ load_merged(const CampaignSpec& spec, const std::string& out_dir)
             throw std::runtime_error("report: missing merged result " + path +
                                      " (run merge first)");
         const Json j = Json::parse(io::read_file(path));
-        const std::string want_hash =
-            io::u64_to_hex(io::config_hash(job.cfg));
-        if (j["config_hash"].as_str() != want_hash)
+        const std::string who =
+            job_file_mismatch(j, spec, job, /*n_shards=*/0);
+        if (!who.empty())
             throw std::runtime_error("report: " + path +
-                                     " is stale (config hash mismatch); "
-                                     "re-run merge");
-        out.push_back(io::metrics_from_json(j["metrics"]));
+                                     " belongs to a different job (" + who +
+                                     "); re-run merge");
+        Metrics m = io::metrics_from_json(j["metrics"]);
+        const std::string why = metrics_mismatch(m, job.cfg, job.cfg.shots);
+        if (!why.empty())
+            throw std::runtime_error("report: " + path + " contradicts job " +
+                                     std::to_string(job.index) + ": " + why +
+                                     "; re-run merge");
+        out.push_back(std::move(m));
     }
     return out;
 }
-
-namespace {
-
-/**
- * Per-job wall time + executed shots summed over every shard telemetry
- * file present for this (job, config); `found` false when no shard wrote
- * telemetry (columns print "-").
- */
-struct JobTelemetrySummary {
-    bool found = false;
-    double wall_s = 0.0;
-    uint64_t shots = 0;
-};
-
-JobTelemetrySummary
-job_telemetry_summary(const CampaignSpec& spec, const JobSpec& job,
-                      int n_shards, const std::string& out_dir)
-{
-    JobTelemetrySummary sum;
-    const std::string want_hash = io::u64_to_hex(io::config_hash(job.cfg));
-    for (int shard = 0; shard < n_shards; ++shard) {
-        const std::string path =
-            telemetry_path(out_dir, spec, job.index, shard, n_shards);
-        if (!io::file_exists(path))
-            continue;
-        try {
-            const Json j = Json::parse(io::read_file(path));
-            if (j["config_hash"].as_str() != want_hash)
-                continue;
-            const int64_t wall_ns = io::count_value(j["wall_ns"], "wall_ns");
-            const int64_t shots = io::count_value(j["shots"], "shots");
-            sum.found = true;
-            sum.wall_s += static_cast<double>(wall_ns) * 1e-9;
-            sum.shots += static_cast<uint64_t>(shots);
-        } catch (const std::exception&) {
-            continue;
-        }
-    }
-    return sum;
-}
-
-}  // namespace
 
 void
 print_report(const CampaignSpec& spec, const std::string& out_dir,
@@ -1083,12 +1071,22 @@ print_report(const CampaignSpec& spec, const std::string& out_dir,
             TablePrinter::sci(m.dlp_mean(), 2),
             m.decoded_shots > 0 ? TablePrinter::sci(m.ler(), 2) : "-"};
         if (telem_cols) {
-            const JobTelemetrySummary ts =
-                job_telemetry_summary(spec, job, n_shards, out_dir);
-            if (ts.found && ts.wall_s > 0.0) {
-                row.push_back(TablePrinter::fmt(ts.wall_s, 2));
-                row.push_back(TablePrinter::fmt(
-                    static_cast<double>(ts.shots) / ts.wall_s, 0));
+            // Wall time and executed shots summed over the job's shard
+            // telemetry files; "-" when none is usable.
+            double wall_s = 0.0;
+            double shots = 0.0;
+            read_job_telemetry(
+                spec, job, n_shards, out_dir, /*strict=*/false,
+                [&](const Json& j) {
+                    const int64_t wall_ns =
+                        io::count_value(j["wall_ns"], "wall_ns");
+                    shots += static_cast<double>(
+                        io::count_value(j["shots"], "shots"));
+                    wall_s += static_cast<double>(wall_ns) * 1e-9;
+                });
+            if (wall_s > 0.0) {
+                row.push_back(TablePrinter::fmt(wall_s, 2));
+                row.push_back(TablePrinter::fmt(shots / wall_s, 0));
             } else {
                 row.push_back("-");
                 row.push_back("-");
@@ -1105,7 +1103,7 @@ std::vector<ShardProgress>
 read_progress(const CampaignSpec& spec, int n_shards,
               const std::string& out_dir)
 {
-    ShardPlan::validate(0, n_shards);
+    check_shard_geometry(0, n_shards);
     // A shard plans at most every job and, summed over its streams, at
     // most spec.shots shots of each.
     const int64_t plan_jobs = static_cast<int64_t>(spec.expand().size());
@@ -1236,44 +1234,49 @@ print_status(const CampaignSpec& spec, int n_shards,
 
 // --- Heatmaps. ---
 
+namespace {
+
+/**
+ * Sums `job`'s heatmaps over its shard telemetry files into `merged`;
+ * false when no file carries one.  Refuses a file read_job_telemetry
+ * refuses.
+ */
+bool
+merge_heatmap_telemetry(const CampaignSpec& spec, const JobSpec& job,
+                        int n_shards, const std::string& out_dir,
+                        telemetry::Heatmap* merged)
+{
+    bool found = false;
+    read_job_telemetry(spec, job, n_shards, out_dir, /*strict=*/true,
+                       [&](const Json& j) {
+                           if (!j.has("heatmap"))
+                               return;
+                           const telemetry::Heatmap h =
+                               telemetry::Heatmap::from_json(j["heatmap"]);
+                           if (found)
+                               merged->merge(h);
+                           else
+                               *merged = h;
+                           found = true;
+                       });
+    return found;
+}
+
+}  // namespace
+
 telemetry::Heatmap
 merge_job_heatmap(const CampaignSpec& spec, int n_shards,
                   const std::string& out_dir, int job_index)
 {
-    ShardPlan::validate(0, n_shards);
     const std::vector<JobSpec> jobs = spec.expand();
     if (job_index < 0 || job_index >= static_cast<int>(jobs.size()))
         throw std::runtime_error("heatmap: job index " +
                                  std::to_string(job_index) +
                                  " outside [0, " +
                                  std::to_string(jobs.size()) + ")");
-    const JobSpec& job = jobs[static_cast<size_t>(job_index)];
-    const std::string want_hash = io::u64_to_hex(io::config_hash(job.cfg));
     telemetry::Heatmap merged;
-    bool found = false;
-    for (int shard = 0; shard < n_shards; ++shard) {
-        const std::string path =
-            telemetry_path(out_dir, spec, job_index, shard, n_shards);
-        if (!io::file_exists(path))
-            continue;
-        const Json j = Json::parse(io::read_file(path));
-        if (j["config_hash"].as_str() != want_hash)
-            throw std::runtime_error(
-                "heatmap: " + path + " was produced under a different "
-                "config (hash " + j["config_hash"].as_str() + ", want " +
-                want_hash + "); re-run that shard");
-        if (!j.has("heatmap"))
-            continue;
-        const telemetry::Heatmap h =
-            telemetry::Heatmap::from_json(j["heatmap"]);
-        if (!found) {
-            merged = h;
-            found = true;
-        } else {
-            merged.merge(h);
-        }
-    }
-    if (!found)
+    if (!merge_heatmap_telemetry(spec, jobs[static_cast<size_t>(job_index)],
+                                 n_shards, out_dir, &merged))
         throw std::runtime_error(
             "heatmap: no shard telemetry carries a heatmap for job " +
             std::to_string(job_index) +
@@ -1286,43 +1289,34 @@ write_job_heatmaps(const CampaignSpec& spec, int n_shards,
                    const std::string& out_dir)
 {
     const std::vector<JobSpec> jobs = spec.expand();
-    int written = 0;
+    // Every job's telemetry is read before the first heatmap file is
+    // written, so a refused file leaves none behind.
+    std::vector<std::pair<const JobSpec*, telemetry::Heatmap>> merged;
     for (const JobSpec& job : jobs) {
         telemetry::Heatmap h;
-        try {
-            h = merge_job_heatmap(spec, n_shards, out_dir, job.index);
-        } catch (const std::exception&) {
-            continue;  // no heatmap telemetry for this job
-        }
-        uint64_t leaked_qubit_rounds = 0;
-        for (uint64_t c : h.counts)
-            leaked_qubit_rounds += c;
-        Json out = Json::object();
-        out.set("gld_version", Json::integer(io::kSerializeVersion));
-        out.set("campaign", Json::str(spec.name));
-        out.set("job", Json::integer(job.index));
-        out.set("code", Json::str(job.code));
-        out.set("policy", Json::str(job.policy));
-        out.set("config_hash",
-                Json::str(io::u64_to_hex(io::config_hash(job.cfg))));
-        out.set("n_shards", Json::integer(n_shards));
-        out.set("heatmap", h.to_json());
-        const std::string path = heatmap_path(out_dir, spec, job.index);
-        io::write_file_atomic(path, out.dump(2) + "\n");
-        std::printf("merged heatmap job %04d [%s / %s]: %d round(s) x %d "
-                    "qubit(s), %llu leaked qubit-rounds -> %s\n",
-                    job.index, job.code.c_str(), job.policy.c_str(),
-                    h.rounds, h.n_qubits(),
-                    static_cast<unsigned long long>(leaked_qubit_rounds),
-                    path.c_str());
-        ++written;
+        if (merge_heatmap_telemetry(spec, job, n_shards, out_dir, &h))
+            merged.emplace_back(&job, std::move(h));
     }
-    if (written == 0)
+    if (merged.empty())
         throw std::runtime_error(
             "heatmap: no heatmap telemetry found for campaign \"" +
             spec.name + "\" in " + out_dir +
             " (run with --heatmap first)");
-    return written;
+    for (const auto& [job, h] : merged) {
+        const uint64_t leaked_qubit_rounds =
+            std::accumulate(h.counts.begin(), h.counts.end(), uint64_t{0});
+        Json out = job_file_header(spec, *job, n_shards);
+        out.set("heatmap", h.to_json());
+        const std::string path = heatmap_path(out_dir, spec, job->index);
+        io::write_file_atomic(path, out.dump(2) + "\n");
+        std::printf("merged heatmap job %04d [%s / %s]: %d round(s) x %d "
+                    "qubit(s), %llu leaked qubit-rounds -> %s\n",
+                    job->index, job->code.c_str(), job->policy.c_str(),
+                    h.rounds, h.n_qubits(),
+                    static_cast<unsigned long long>(leaked_qubit_rounds),
+                    path.c_str());
+    }
+    return static_cast<int>(merged.size());
 }
 
 }  // namespace campaign

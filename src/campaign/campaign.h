@@ -116,23 +116,8 @@ struct CampaignSpec {
  */
 double job_cost_units(const JobSpec& job, int n_qubits, long shots);
 
-/**
- * The shard partition: shard i of N owns RNG stream s of every job iff
- * s % N == i.  Streams — not jobs — are the partition unit, so (a) any N
- * up to the stream count splits even a single-job campaign, and (b) the
- * merge is exactly run()'s stream-order sum, making shard-then-merge
- * bit-identical to a single-process run.
- *
- * This round-robin partition balances SHOTS per shard within one job but
- * knows nothing about cost: a tableau d=7 job's stream costs ~n^2/64 x a
- * frame stream, and batch_frame streams ~1/64 x.  Campaign-level
- * scheduling (run_shard, resume validation, the plan command) therefore
- * runs entirely on CampaignPlan (greedy LPT over cost units) below.
- */
-struct ShardPlan {
-    /** Throws std::runtime_error unless 0 <= shard < n_shards. */
-    static void validate(int shard, int n_shards);
-};
+/** Throws std::runtime_error unless 0 <= shard < n_shards. */
+void check_shard_geometry(int shard, int n_shards);
 
 /**
  * Measured-throughput calibration for the campaign cost model (the
@@ -180,8 +165,9 @@ struct Calibration {
     /**
      * Aggregates the campaign's per-job telemetry exports into measured
      * rates: per (backend, code), total shots / total wall seconds over
-     * every job x shard telemetry file present (files from a different
-     * config hash are skipped).  Throws if no telemetry is found at all.
+     * every job x shard telemetry file present.  A file that does not
+     * parse, or whose identity header names another job, is skipped.
+     * Throws if no telemetry is found at all.
      */
     static Calibration from_telemetry(const CampaignSpec& spec, int n_shards,
                                       const std::string& out_dir);
@@ -240,6 +226,12 @@ struct CampaignPlan {
         const Calibration* calib = nullptr);
 };
 
+// Every per-job file (shard result, telemetry export, merged result,
+// merged heatmap) opens with one identity header: gld_version, campaign,
+// job, code, policy, config_hash, shard (shard-level files only) and
+// n_shards.  Readers check all of it, n_shards only where the path names
+// it: with paired seeds every policy at a grid point shares one config
+// hash, so the hash alone does not name a job.
 /** `<out_dir>/<name>.job####.shard<i>of<N>.json` */
 std::string shard_result_path(const std::string& out_dir,
                               const CampaignSpec& spec, int job_index,
@@ -294,8 +286,9 @@ struct RunShardOptions {
  * writing one result file per job into `out_dir` (created if needed).
  *
  * Checkpoint/resume: a job whose result file already exists with a
- * matching config hash and shard geometry is skipped; a stale file (hash
- * or geometry mismatch, or unparseable) is recomputed and overwritten.
+ * matching identity header and Metrics that fit the job is skipped; a
+ * stale file (another job's header, contradicting Metrics, or
+ * unparseable) is recomputed and overwritten.
  *
  * `threads` caps worker threads per job (0 = the full
  * BenchConfig::threads() budget).  Job workers AND every job's runner
@@ -334,15 +327,20 @@ void remove_results(const CampaignSpec& spec, int n_shards,
 /**
  * Merges the per-stream partials of all `n_shards` result files per job,
  * in ascending stream order, writes `<name>.job####.merged.json` files
- * and returns the merged Metrics in job order.  Throws if any stream of
- * any job is missing, duplicated, or was produced under a different
- * config hash, or if a file carries a negative count; then no merged
- * file is written.
+ * and returns the merged Metrics in job order.  Throws, naming the file,
+ * if any stream of any job is missing or duplicated, a file's identity
+ * header names another job, or its per-stream Metrics contradict the job
+ * (a negative count included); then no merged file is written.
  */
 std::vector<Metrics> merge_campaign(const CampaignSpec& spec, int n_shards,
                                     const std::string& out_dir);
 
-/** Loads the merged Metrics of every job (merge_campaign output files). */
+/**
+ * Loads the merged Metrics of every job (merge_campaign output files).
+ * Throws, naming the file, when one is missing, its identity header names
+ * another job (e.g. the spec's policies were reordered since the merge),
+ * or its Metrics contradict a job of spec.shots shots.
+ */
 std::vector<Metrics> load_merged(const CampaignSpec& spec,
                                  const std::string& out_dir);
 
@@ -351,7 +349,8 @@ std::vector<Metrics> load_merged(const CampaignSpec& spec,
  * the merged result files — the campaign-level replacement for the
  * monolithic bench generators' output.  With n_shards > 0 the table also
  * carries wall-time and shots/second columns aggregated from the per-job
- * telemetry exports ("-" for jobs without telemetry files).
+ * telemetry exports ("-" for jobs without telemetry files); a telemetry
+ * file that does not parse or names another job is skipped.
  */
 void print_report(const CampaignSpec& spec, const std::string& out_dir,
                   int n_shards = 0);
@@ -397,9 +396,10 @@ void print_status(const CampaignSpec& spec, int n_shards,
 
 /**
  * Merges job `job_index`'s leakage heatmap across all shard telemetry
- * files (validating the config hash), returning the cross-shard sum.
- * Throws if no shard telemetry carries a heatmap for the job — run with
- * --heatmap first.
+ * files, returning the cross-shard sum.  Throws, naming the file, when a
+ * telemetry file does not parse or its identity header names another
+ * job; throws if no shard telemetry carries a heatmap for the job — run
+ * with --heatmap first.
  */
 telemetry::Heatmap merge_job_heatmap(const CampaignSpec& spec, int n_shards,
                                      const std::string& out_dir,
@@ -408,7 +408,9 @@ telemetry::Heatmap merge_job_heatmap(const CampaignSpec& spec, int n_shards,
 /**
  * Merges + writes `heatmap_path` files for every job with heatmap
  * telemetry, printing one summary line each; returns the number written.
- * Throws if NO job has heatmap telemetry (nothing was collected).
+ * A job without heatmap telemetry is skipped; a refused telemetry file
+ * (see merge_job_heatmap) fails the whole call.  Throws if NO job has
+ * heatmap telemetry (nothing was collected).
  */
 int write_job_heatmaps(const CampaignSpec& spec, int n_shards,
                        const std::string& out_dir);

@@ -100,4 +100,39 @@ if ls "$runs" | grep -q merged; then
     echo "FAIL merge wrote a merged file from a contradicting shard"
     fail=1
 fi
+
+# report and heatmap refuse a file of another job. Swapping the first two
+# policies keeps every job's config hash (paired seeds), so only the rest
+# of the file's identity header tells job 0's files from job 1's.
+swap="$dir/swap"
+"$bin" run --spec "$dir/tiny.json" --shard 0/1 --heatmap --out "$swap" \
+    > "$dir/swap_run.stdout" || exit 1
+"$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$swap" \
+    > "$dir/swap_merge.stdout" || exit 1
+sed 's/"eraser_m"/"@"/; s/"gladiator_m"/"eraser_m"/; s/"@"/"gladiator_m"/' \
+    "$dir/tiny.json" > "$dir/swapped.json"
+expect report_swapped "$swap/example.job0000.merged.json" \
+    "$bin" report --spec "$dir/swapped.json" --out "$swap"
+expect heatmap_swapped "$swap/example.job0000.shard0of1.telemetry.json" \
+    "$bin" heatmap --spec "$dir/swapped.json" --shards 1 --out "$swap"
+
+# So does heatmap a stale telemetry file; it used to drop just that job.
+telem="$swap/example.job0001.shard0of1.telemetry.json"
+cp "$telem" "$dir/telem.orig"
+sed 's/"config_hash": "[^"]*"/"config_hash": "0x1"/' "$dir/telem.orig" \
+    > "$telem"
+expect heatmap_stale_telemetry "$telem" \
+    "$bin" heatmap --spec "$dir/tiny.json" --shards 1 --out "$swap"
+cp "$dir/telem.orig" "$telem"
+if ls "$swap" | grep -q heatmap; then
+    echo "FAIL heatmap wrote a heatmap file from a refused telemetry file"
+    fail=1
+fi
+
+# And report refuses a merged file whose shot count contradicts the spec.
+merged="$swap/example.job0000.merged.json"
+cp "$merged" "$dir/merged.orig"
+sed 's/"shots": [0-9]*/"shots": 1/' "$dir/merged.orig" > "$merged"
+expect report_contradicting_shots "$merged" \
+    "$bin" report --spec "$dir/tiny.json" --out "$swap"
 exit $fail

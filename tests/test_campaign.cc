@@ -305,16 +305,16 @@ TEST(CostModel, JobCostUnitsWeighShotsRoundsAndBackend)
     EXPECT_DOUBLE_EQ(job_cost_units(frame_jobs[0], nq, 0), 0.0);
 }
 
-TEST(ShardPlan, ValidateRefusesShardsOutsideThePlan)
+TEST(ShardGeometry, RefusesShardsOutsideThePlan)
 {
     // The stream partition itself is CampaignPlan's (pinned by
     // CampaignPlan.PartitionsEveryStreamExactlyOnceAndDeterministically);
-    // ShardPlan only validates shard indices.
-    EXPECT_NO_THROW(ShardPlan::validate(0, 1));
-    EXPECT_NO_THROW(ShardPlan::validate(2, 3));
-    EXPECT_THROW(ShardPlan::validate(-1, 3), std::runtime_error);
-    EXPECT_THROW(ShardPlan::validate(3, 3), std::runtime_error);
-    EXPECT_THROW(ShardPlan::validate(0, 0), std::runtime_error);
+    // check_shard_geometry only validates shard indices.
+    EXPECT_NO_THROW(check_shard_geometry(0, 1));
+    EXPECT_NO_THROW(check_shard_geometry(2, 3));
+    EXPECT_THROW(check_shard_geometry(-1, 3), std::runtime_error);
+    EXPECT_THROW(check_shard_geometry(3, 3), std::runtime_error);
+    EXPECT_THROW(check_shard_geometry(0, 0), std::runtime_error);
 }
 
 // --- CampaignPlan: deterministic cost-balanced LPT assignment. ---
@@ -584,10 +584,13 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
     EXPECT_THROW(merge_campaign(other, 2, dir), std::runtime_error);
 
     // Same config, different job identity (policy order swapped under
-    // paired seeds): merge must refuse to relabel the results.
+    // paired seeds): merge must refuse to relabel the results, and so
+    // must the report's loader over the merged files.
     CampaignSpec swapped = spec;
     std::swap(swapped.policies[0], swapped.policies[1]);
     EXPECT_THROW(merge_campaign(swapped, 2, dir), std::runtime_error);
+    EXPECT_NO_THROW(load_merged(spec, dir));
+    EXPECT_THROW(load_merged(swapped, dir), std::runtime_error);
 }
 
 // A shard file whose stream index does not fit in int is refused.
@@ -734,6 +737,21 @@ TEST(Merge, RefusesStreamMetricsThatContradictTheJob)
     ASSERT_EQ(after.size(), clean.size());
     for (size_t i = 0; i < after.size(); ++i)
         EXPECT_TRUE(metrics_bit_diff(after[i], clean[i]).empty()) << i;
+
+    // The report's loader applies the same check to a merged file, with
+    // the job's 45 shots as the count.
+    const std::string merged = merged_result_path(dir, spec, job.index);
+    io::write_file_atomic(merged,
+                          with_count(io::read_file(merged), "shots", "44"));
+    try {
+        load_merged(spec, dir);
+        ADD_FAILURE() << "loaded a merged file that contradicts the job";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(merged), std::string::npos) << what;
+        EXPECT_NE(what.find("shots = 44, want 45"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
@@ -910,14 +928,34 @@ TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
         CampaignPlan::build(tableau_spec, n_shards, nullptr, &calib),
         std::runtime_error);
 
-    // Foreign-config telemetry is skipped, so a changed campaign finds
-    // no usable telemetry or heatmaps in the same directory.
+    // Foreign-config telemetry is skipped by calibrate and refused by
+    // heatmap, so a changed campaign finds no usable telemetry or
+    // heatmaps in the same directory.  Swapped policies share every
+    // config hash under paired seeds; the job identity tells them apart.
     CampaignSpec changed = spec;
     changed.rounds += 1;
-    EXPECT_THROW(Calibration::from_telemetry(changed, n_shards, dir),
-                 std::runtime_error);
-    EXPECT_THROW(merge_job_heatmap(changed, n_shards, dir, 0),
-                 std::runtime_error);
+    CampaignSpec swapped = spec;
+    std::swap(swapped.policies[0], swapped.policies[1]);
+    for (const CampaignSpec& other : {changed, swapped}) {
+        EXPECT_THROW(Calibration::from_telemetry(other, n_shards, dir),
+                     std::runtime_error);
+        EXPECT_THROW(merge_job_heatmap(other, n_shards, dir, 0),
+                     std::runtime_error);
+        EXPECT_THROW(write_job_heatmaps(other, n_shards, dir),
+                     std::runtime_error);
+    }
+    // The report's telemetry columns skip foreign files too: given merged
+    // results of its own, the swapped spec's Wall(s) and Shots/s read
+    // "-" as they do for a geometry no telemetry file was written under.
+    for (int shard = 0; shard < n_shards; ++shard)
+        run_shard(swapped, shard, n_shards, dir, untraced(2));
+    merge_campaign(swapped, n_shards, dir);
+    const auto report = [&](int shards) {
+        ::testing::internal::CaptureStdout();
+        print_report(swapped, dir, shards);
+        return ::testing::internal::GetCapturedStdout();
+    };
+    EXPECT_EQ(report(n_shards), report(n_shards + 1));
 
     // remove_results clears the observability files too: a fresh status
     // read sees a cold fleet and calibrate finds nothing.

@@ -10,6 +10,10 @@
 // is refused or merges to the clean run's shot, round and decode counts,
 // and no refusal leaves a merged file behind.
 //
+// The merged-result slice does the same to a merged file read by the
+// report's loader: every strict prefix is refused, and every single-bit
+// flip is refused or loads the clean job's shot, round and decode counts.
+//
 // The progress slice does the same to a shard's heartbeat file: status
 // reads the last complete line of every strict prefix, and every
 // single-bit flip either loads a heartbeat within the plan or falls back
@@ -277,6 +281,74 @@ TEST(ShardMutation, EverySingleBitFlipIsRefusedOrKeepsTheCounts)
     // Both outcomes occur: a flipped total's digit still merges, broken
     // syntax and contradicted counts do not.
     EXPECT_GT(merged, 0);
+    EXPECT_GT(refused, 0);
+}
+
+// --- Merged-result mutation slice. ---
+
+/** MutatedShard's merged file, loaded back after each mutation. */
+struct MutatedMerged {
+    MutatedShard run;
+    std::string text;  ///< the merged file as written
+
+    MutatedMerged()
+    {
+        campaign::merge_campaign(run.spec, 2, run.dir);
+        text = io::read_file(run.merged_path);
+    }
+
+    /** Loads `bytes` as the merged file: true unless it was refused. */
+    bool load(const std::string& bytes, Metrics* out)
+    {
+        io::write_file_atomic(run.merged_path, bytes);
+        try {
+            *out = campaign::load_merged(run.spec, run.dir).at(0);
+        } catch (const std::exception&) {
+            return false;
+        }
+        return true;
+    }
+};
+
+TEST(MergedMutation, EveryStrictPrefixIsRefused)
+{
+    MutatedMerged m;
+    Metrics got;
+    ASSERT_TRUE(m.load(m.text, &got));
+    const std::string doc =
+        m.text.substr(0, m.text.find_last_not_of("\n") + 1);
+    ASSERT_LT(doc.size(), m.text.size());
+    for (size_t n = 0; n < doc.size(); ++n)
+        EXPECT_FALSE(m.load(doc.substr(0, n), &got))
+            << "loaded a prefix of " << n << " bytes";
+}
+
+TEST(MergedMutation, EverySingleBitFlipIsRefusedOrKeepsTheCounts)
+{
+    MutatedMerged m;
+    int loaded = 0;
+    int refused = 0;
+    for (size_t i = 0; i < m.text.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = m.text;
+            bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+            Metrics got;
+            if (!m.load(bad, &got)) {
+                ++refused;
+                continue;
+            }
+            ++loaded;
+            EXPECT_EQ(got.shots, m.run.clean.shots)
+                << "byte " << i << " bit " << bit;
+            EXPECT_EQ(got.rounds_per_shot, m.run.clean.rounds_per_shot)
+                << "byte " << i << " bit " << bit;
+            EXPECT_EQ(got.decoded_shots, m.run.clean.decoded_shots)
+                << "byte " << i << " bit " << bit;
+        }
+    }
+    // Both outcomes occur: a flipped total's digit still loads, broken
+    // syntax, another job's header and contradicted counts do not.
+    EXPECT_GT(loaded, 0);
     EXPECT_GT(refused, 0);
 }
 
