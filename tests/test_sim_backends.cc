@@ -670,9 +670,11 @@ every_policy_cases()
     // Rng::bernoulli contract), so these send sites through the no-draw
     // short-circuits — pl never fires, MLR never or always fires, and
     // only the sampled leaks and their transport move anything at p = 0.
+    // At p = 1 every readout error fires without a draw, so the clean
+    // lanes of a readout take no draw while the leaked lanes coin-flip.
     const double p = 2e-3;
     std::vector<std::pair<const char*, NoiseParams>> degenerate(
-        4, {"", NoiseParams::standard(p, 0.5)});
+        5, {"", NoiseParams::standard(p, 0.5)});
     degenerate[0].first = "leak_ratio_0";
     degenerate[0].second.leak_ratio = 0.0;
     degenerate[1].first = "mlr_ratio_0";
@@ -682,6 +684,7 @@ every_policy_cases()
     degenerate[3].first = "p_0";
     degenerate[3].second.p = 0.0;
     degenerate[3].second.lrc_leak_prob = 0.0;
+    degenerate[4] = {"p_1", NoiseParams::standard(1.0, 0.5)};
     for (const auto& [name, np] : degenerate) {
         for (int k : {1, 2, 3})
             out.push_back({"surface:5", "eraser_m", k, name, np});
