@@ -18,13 +18,8 @@ namespace gld {
 BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
                              const NoiseParams& np, uint64_t seed,
                              int batch_words, NoiseSampling noise_sampling)
-    // Same master stream as LeakFrameSim(seed): under lockstep sampling
-    // lane l of batch b is bit-identical to the scalar frame backend's
-    // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
-    // its event stream from the same master but draws a different
-    // sequence (its own RNG contract; qualified statistically).
     : BatchSimulator(code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
-      rate_mlr_(np.mlr_err()), master_rng_(seed), words_(batch_words),
+      rate_mlr_(np.mlr_err()), words_(batch_words),
       sparse_(noise_sampling == NoiseSampling::kSparse)
 {
     if (batch_words < 1 || batch_words > kMaxBatchWords)
@@ -34,50 +29,24 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     const size_t W = static_cast<size_t>(words_);
     const size_t nq = static_cast<size_t>(code.n_qubits());
     const size_t nc = static_cast<size_t>(code.n_checks());
-    fx_.assign(nq * W, 0);
-    fz_.assign(nq * W, 0);
-    leaked_.assign(nq * W, 0);
-    prev_meas_.assign(nc * W, 0);
-    meas_flip_.assign(nc * W, 0);
-    mlr_flag_.assign(nc * W, 0);
-    det_scratch_.assign(nc * W, 0);
-    final_flip_.assign(static_cast<size_t>(code.n_data()) * W, 0);
-    // Same fixed LRC partner per data qubit as the scalar driver.
-    lrc_partner_.assign(static_cast<size_t>(code.n_data()), -1);
-    for (int q = 0; q < code.n_data(); ++q) {
-        if (!code.data_adjacency()[q].empty())
-            lrc_partner_[static_cast<size_t>(q)] =
-                code.data_adjacency()[q].front();
-    }
-    const int max_lanes = words_ * kBatchLanes;
-    lane_lrc_.resize(static_cast<size_t>(max_lanes));
-    // Like the scalar driver, shot 0's stream is live from construction
-    // (one active lane) so primitive-level probing before any reset works.
-    // Sparse mode never reads the lane bank: its one event stream (armed
-    // the same way a first reset_shot_batch would arm it) replaces all
-    // per-lane seeding work.
-    if (sparse_) {
-        sparse_reset(0);
-    } else {
-        for (int l = 0; l < max_lanes; ++l)
-            lane_rng_.seed_lane(l, master_rng_.split(0));
-    }
-    active_[0] = 1;
-    n_lanes_ = 1;
+    fx_.resize(nq * W);
+    fz_.resize(nq * W);
+    leaked_.resize(nq * W);
+    prev_meas_.resize(nc * W);
+    meas_flip_.resize(nc * W);
+    mlr_flag_.resize(nc * W);
+    det_scratch_.resize(nc * W);
+    final_flip_.resize(static_cast<size_t>(code.n_data()) * W);
+    lane_lrc_.resize(static_cast<size_t>(words_ * kBatchLanes));
+    reset_for_block(seed);
 }
 
 void
-BatchFrameSim::reset_shot_batch(int n_lanes)
+BatchFrameSim::start_batch(int n_lanes)
 {
-    const int max_lanes = words_ * kBatchLanes;
-    if (n_lanes < 1 || n_lanes > max_lanes)
-        throw std::invalid_argument(
-            "reset_shot_batch: n_lanes " + std::to_string(n_lanes) +
-            " outside [1, " + std::to_string(max_lanes) + "]");
-    std::fill(fx_.begin(), fx_.end(), 0);
-    std::fill(fz_.begin(), fz_.end(), 0);
-    std::fill(leaked_.begin(), leaked_.end(), 0);
-    std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
+    for (auto* v : {&fx_, &fz_, &leaked_, &prev_meas_, &meas_flip_,
+                    &mlr_flag_, &det_scratch_, &final_flip_})
+        std::fill(v->begin(), v->end(), 0);
     first_round_ = true;
     n_lanes_ = n_lanes;
     // Active-lane span: full words below the boundary, a partial word at
@@ -106,39 +75,34 @@ BatchFrameSim::reset_shot_batch(int n_lanes)
                 l,
                 master_rng_.split(shots_started_ + static_cast<uint64_t>(l)));
     }
+}
+
+void
+BatchFrameSim::reset_shot_batch(int n_lanes)
+{
+    const int max_lanes = words_ * kBatchLanes;
+    if (n_lanes < 1 || n_lanes > max_lanes)
+        throw std::invalid_argument(
+            "reset_shot_batch: n_lanes " + std::to_string(n_lanes) +
+            " outside [1, " + std::to_string(max_lanes) + "]");
+    start_batch(n_lanes);
     shots_started_ += static_cast<uint64_t>(n_lanes);
 }
 
 void
 BatchFrameSim::reset_for_block(uint64_t seed)
 {
-    // Mirror of the constructor's tail under the new master — all lanes
-    // seeded with split(0), lane 0 active, shot counter 0 — plus
-    // explicit scrubbing of everything a previous block may have left:
-    // frames, flags, history and the per-check scratch spans (a fresh
-    // engine's are zero-initialized).
+    // Same master stream as LeakFrameSim(seed): under lockstep sampling
+    // lane l of batch b is bit-identical to the scalar frame backend's
+    // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
+    // its event stream from the same master but draws a different
+    // sequence (its own RNG contract; qualified statistically).
     master_rng_ = Rng(seed);
     shots_started_ = 0;
-    std::fill(fx_.begin(), fx_.end(), 0);
-    std::fill(fz_.begin(), fz_.end(), 0);
-    std::fill(leaked_.begin(), leaked_.end(), 0);
-    std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
-    std::fill(meas_flip_.begin(), meas_flip_.end(), 0);
-    std::fill(mlr_flag_.begin(), mlr_flag_.end(), 0);
-    std::fill(det_scratch_.begin(), det_scratch_.end(), 0);
-    std::fill(final_flip_.begin(), final_flip_.end(), 0);
-    first_round_ = true;
-    if (sparse_) {
-        sparse_reset(0);
-    } else {
-        const int max_lanes = words_ * kBatchLanes;
-        for (int l = 0; l < max_lanes; ++l)
-            lane_rng_.seed_lane(l, master_rng_.split(0));
-    }
-    for (int w = 0; w < words_; ++w)
-        active_[w] = 0;
-    active_[0] = 1;
-    n_lanes_ = 1;
+    // Like the scalar driver, shot 0's stream is live before any
+    // reset_shot_batch (lane 0 active, not yet counted), so
+    // primitive-level probing works.
+    start_batch(1);
 }
 
 template <int WT>
@@ -201,16 +165,6 @@ BatchFrameSim::reset_z(int q, const LaneMask* lanes)
         fx_[base + static_cast<size_t>(w)] &= ~lanes[w];
         fz_[base + static_cast<size_t>(w)] &= ~lanes[w];
     }
-}
-
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchFrameSim::measure_z(int q, LaneMask* out) const
-{
-    const int W = WT > 0 ? WT : words_;
-    const size_t base = span(q);
-    for (int w = 0; w < W; ++w)
-        out[w] = fx_[base + static_cast<size_t>(w)];
 }
 
 uint64_t
@@ -505,7 +459,7 @@ BatchFrameSim::cnot(int control, int target)
 inline void
 BatchFrameSim::apply_lrc_data(int q, int lane)
 {
-    const int pc = lrc_partner_[static_cast<size_t>(q)];
+    const int pc = lrc_partner(*code_, q);
     if (pc >= 0) {
         const int anc = code_->ancilla_of(pc);
         const bool anc_was_leaked = lane_bit(leaked(anc), lane);
@@ -593,6 +547,60 @@ BatchFrameSim::apply_lrcs(const LrcMasks& lrcs)
 
 template <int WT>
 __attribute__((always_inline)) inline void
+BatchFrameSim::readout(int q, LaneMask* flip)
+{
+    const int W = WT > 0 ? WT : words_;
+    const LaneMask* lq = leaked(q);
+    LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
+    LaneMask err[kMaxBatchWords], rnd[kMaxBatchWords];
+    for (int w = 0; w < W; ++w) {
+        lk[w] = active_[w] & lq[w];
+        ok[w] = active_[w] & ~lq[w];
+        rnd[w] = 0;
+    }
+    if (sparse_) {
+        // Event-driven: the error site draws over the clean lanes only,
+        // then the leaked lanes coin-flip from the event stream in
+        // ascending lane order.  A quiet site costs nothing.
+        sparse_bernoulli_mask<WT>(rate_p_, ok, err);
+        for_each_lane(lk, W, [&](int l) {
+            if (event_rng_.bit())
+                set_lane_bit(rnd, l);
+        });
+    } else if (!rate_p_.never && !rate_p_.always) {
+        // Every active lane consumes exactly one word — leaked lanes as
+        // Rng::bit, the rest as the readout-error Bernoulli — so one
+        // full-width step serves the whole site.
+        lane_rng_.step_all(n_lanes_, draw_);
+        uint64_t any = 0;
+        for (int l = 0; l < n_lanes_; ++l) {
+            bits_[l] = ((draw_[l] >> 11) - rate_p_.thresh) >> 63;
+            any |= bits_[l];
+        }
+        if (any != 0)
+            pack_bits(n_lanes_, err);
+        else
+            lanes_zero(err, W);
+        for_each_lane(lk, W, [&](int l) {
+            rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
+        });
+    } else {
+        // At p <= 0 or p >= 1 the clean lanes must NOT draw, like
+        // Rng::bernoulli; only the leaked lanes take their coin.
+        lane_rng_.step_masked(n_lanes_, lk, draw_);
+        for (int w = 0; w < W; ++w)
+            err[w] = rate_p_.always ? ok[w] : 0;
+        for_each_lane(lk, W, [&](int l) {
+            rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
+        });
+    }
+    const LaneMask* fx = &fx_[span(q)];
+    for (int w = 0; w < W; ++w)
+        flip[w] = ((fx[w] ^ err[w]) & ok[w]) | (rnd[w] & lk[w]);
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
 BatchFrameSim::run_round_t(const LrcMasks& lrcs)
 {
     const int n_checks = code_->n_checks();
@@ -650,91 +658,14 @@ BatchFrameSim::run_round_t(const LrcMasks& lrcs)
             break;
           case OpType::kMeasure: {
             const int anc = op.q0;
-            const LaneMask* la = leaked(anc);
-            LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-            LaneMask any_lk = 0;
-            for (int w = 0; w < W; ++w) {
-                lk[w] = active_[w] & la[w];
-                ok[w] = active_[w] & ~lk[w];
-                any_lk |= lk[w];
-            }
-            // One word-wide readout; leaked lanes' bits are discarded
-            // and replaced by that lane's random-outcome draw.  Every
-            // active lane consumes exactly one word here — leaked lanes
-            // as Rng::bit, the rest as the readout-error Bernoulli — so
-            // one full-width step serves the whole site.  (At p <= 0 or
-            // p >= 1 the clean lanes must NOT draw, like Rng::bernoulli.)
-            LaneMask measured[kMaxBatchWords];
-            measure_z<WT>(anc, measured);
-            LaneMask* flip =
-                &meas_flip_[static_cast<size_t>(op.mslot) * Ws];
-            LaneMask* mlrw =
-                &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
-            if (sparse_) {
-                // Event-driven readout: the error site draws over the
-                // non-leaked lanes only, leaked lanes coin-flip from the
-                // event stream (ascending lane order), and the MLR site
-                // is one more event pass — a quiet site costs nothing.
-                LaneMask err[kMaxBatchWords];
-                sparse_bernoulli_mask<WT>(rate_p_, ok, err);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                if (any_lk != 0) {
-                    for_each_lane(lk, W, [&](int l) {
-                        if (event_rng_.bit())
-                            rnd[l >> 6] |= 1ull << (l & 63);
-                    });
-                }
-                for (int w = 0; w < W; ++w)
-                    flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                              (rnd[w] & lk[w]);
-                LaneMask mlrt[kMaxBatchWords];
-                sparse_bernoulli_mask<WT>(rate_mlr_, active_, mlrt);
-                for (int w = 0; w < W; ++w)
-                    mlrw[w] = lk[w] ^ mlrt[w];
-                break;
-            }
-            if (!rate_p_.never && !rate_p_.always) {
-                lane_rng_.step_all(n_lanes_, draw_);
-                // Readout error via the branchless compare + quiet-site
-                // early-out (see bernoulli_mask); leaked lanes reuse the
-                // same one-word draw as their Rng::bit outcome.
-                uint64_t any = 0;
-                for (int l = 0; l < n_lanes_; ++l) {
-                    bits_[l] = ((draw_[l] >> 11) - rate_p_.thresh) >> 63;
-                    any |= bits_[l];
-                }
-                LaneMask err[kMaxBatchWords];
-                if (any != 0)
-                    pack_bits(n_lanes_, err);
-                else
-                    lanes_zero(err, W);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                for_each_lane(lk, W, [&](int l) {
-                    rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-                });
-                for (int w = 0; w < W; ++w)
-                    flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                              (rnd[w] & lk[w]);
-            } else {
-                lane_rng_.step_masked(n_lanes_, lk, draw_);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                for_each_lane(lk, W, [&](int l) {
-                    rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-                });
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask err = rate_p_.always ? ok[w] : 0;
-                    flip[w] = ((measured[w] ^ err) & ok[w]) |
-                              (rnd[w] & lk[w]);
-                }
-            }
+            readout<WT>(anc, &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
             // MLR leak flag with symmetric misclassification.
+            const LaneMask* la = leaked(anc);
+            LaneMask* mlrw = &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
             LaneMask mlrt[kMaxBatchWords];
             bernoulli_mask<WT>(rate_mlr_, active_, mlrt);
             for (int w = 0; w < W; ++w)
-                mlrw[w] = lk[w] ^ mlrt[w];
+                mlrw[w] = (active_[w] & la[w]) ^ mlrt[w];
             break;
           }
         }
@@ -774,57 +705,8 @@ template <int WT>
 __attribute__((always_inline)) inline void
 BatchFrameSim::final_measure_t()
 {
-    const int W = WT > 0 ? WT : words_;
-    for (int q = 0; q < code_->n_data(); ++q) {
-        const LaneMask* lq = leaked(q);
-        LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-        for (int w = 0; w < W; ++w) {
-            lk[w] = active_[w] & lq[w];
-            ok[w] = active_[w] & ~lk[w];
-        }
-        LaneMask measured[kMaxBatchWords];
-        measure_z<WT>(q, measured);
-        LaneMask* flip =
-            &final_flip_[static_cast<size_t>(q) * static_cast<size_t>(W)];
-        if (sparse_) {
-            LaneMask err[kMaxBatchWords];
-            sparse_bernoulli_mask<WT>(rate_p_, ok, err);
-            LaneMask rnd[kMaxBatchWords];
-            lanes_zero(rnd, W);
-            for_each_lane(lk, W, [&](int l) {
-                if (event_rng_.bit())
-                    rnd[l >> 6] |= 1ull << (l & 63);
-            });
-            for (int w = 0; w < W; ++w)
-                flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                          (rnd[w] & lk[w]);
-        } else if (!rate_p_.never && !rate_p_.always) {
-            lane_rng_.step_all(n_lanes_, draw_);
-            for (int w = 0; w * kBatchLanes < n_lanes_; ++w) {
-                const int base = w * kBatchLanes;
-                const int lim = std::min(kBatchLanes, n_lanes_ - base);
-                LaneMask rnd = 0, err = 0;
-                for (int b = 0; b < lim; ++b) {
-                    rnd |= (draw_[base + b] >> 63) << b;
-                    err |= static_cast<LaneMask>(
-                               (draw_[base + b] >> 11) < rate_p_.thresh)
-                           << b;
-                }
-                flip[w] = ((measured[w] ^ err) & ok[w]) | (rnd & lk[w]);
-            }
-        } else {
-            lane_rng_.step_masked(n_lanes_, lk, draw_);
-            LaneMask rnd[kMaxBatchWords];
-            lanes_zero(rnd, W);
-            for_each_lane(lk, W, [&](int l) {
-                rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-            });
-            for (int w = 0; w < W; ++w) {
-                const LaneMask err = rate_p_.always ? ok[w] : 0;
-                flip[w] = ((measured[w] ^ err) & ok[w]) | (rnd[w] & lk[w]);
-            }
-        }
-    }
+    for (int q = 0; q < code_->n_data(); ++q)
+        readout<WT>(q, &final_flip_[span(q)]);
 }
 
 const LaneMask*

@@ -79,7 +79,7 @@ set_lane_bit(LaneMask* m, int l)
  * one per lane.
  *
  * Lane l's stream is seeded from an Rng (master.split(shot)) and steps
- * with the identical update rule, so the lane's draw sequence is
+ * through the same xoshiro_step, so the lane's draw sequence is
  * bit-for-bit the scalar driver's.  `step_all`, `step_masked` and
  * `step_compare_all` advance many lanes in one plain loop.  The bank
  * exists for exactness, not speed: it is what lets lockstep replay the
@@ -111,21 +111,8 @@ class LaneRngBank {
      */
     void step_all(int n, uint64_t* __restrict__ out)
     {
-        // Same update as step_lane, with the x*5 / x*9 multiplies spelled
-        // as shift-adds: SSE2 has no 64-bit multiply, and gcc refuses to
-        // vectorize the loop with them present.
-        for (int l = 0; l < n; ++l) {
-            const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-            const uint64_t r7 = rotl(m5, 7);
-            out[l] = r7 + (r7 << 3);
-            const uint64_t t = s1_[l] << 17;
-            s2_[l] ^= s0_[l];
-            s3_[l] ^= s1_[l];
-            s1_[l] ^= s2_[l];
-            s0_[l] ^= s3_[l];
-            s2_[l] ^= t;
-            s3_[l] = rotl(s3_[l], 45);
-        }
+        for (int l = 0; l < n; ++l)
+            out[l] = next_lane(l);
     }
 
     /**
@@ -144,18 +131,12 @@ class LaneRngBank {
                 n - base < kBatchLanes ? n - base : kBatchLanes;
             for (int b = 0; b < lim; ++b) {
                 const int l = base + b;
+                // Step a copy, then keep it only in the mask's lanes
+                // (branchless, so the loop vectorizes).
                 const uint64_t keep =
                     static_cast<uint64_t>(0) - ((mw >> b) & 1u);
-                const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-                const uint64_t r7 = rotl(m5, 7);
-                const uint64_t r = r7 + (r7 << 3);
-                const uint64_t t = s1_[l] << 17;
-                uint64_t n2 = s2_[l] ^ s0_[l];
-                uint64_t n3 = s3_[l] ^ s1_[l];
-                const uint64_t n1 = s1_[l] ^ n2;
-                const uint64_t n0 = s0_[l] ^ n3;
-                n2 ^= t;
-                n3 = rotl(n3, 45);
+                uint64_t n0 = s0_[l], n1 = s1_[l], n2 = s2_[l], n3 = s3_[l];
+                const uint64_t r = xoshiro_step(n0, n1, n2, n3);
                 s0_[l] ^= (s0_[l] ^ n0) & keep;
                 s1_[l] ^= (s1_[l] ^ n1) & keep;
                 s2_[l] ^= (s2_[l] ^ n2) & keep;
@@ -178,70 +159,19 @@ class LaneRngBank {
     {
         uint64_t any = 0;
         for (int l = 0; l < n; ++l) {
-            const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-            const uint64_t r7 = rotl(m5, 7);
-            const uint64_t r = r7 + (r7 << 3);
-            const uint64_t t = s1_[l] << 17;
-            s2_[l] ^= s0_[l];
-            s3_[l] ^= s1_[l];
-            s1_[l] ^= s2_[l];
-            s0_[l] ^= s3_[l];
-            s2_[l] ^= t;
-            s3_[l] = rotl(s3_[l], 45);
-            bits[l] = ((r >> 11) - thresh) >> 63;
+            bits[l] = ((next_lane(l) >> 11) - thresh) >> 63;
             any |= bits[l];
         }
         return any;
     }
 
     /** One lane's next_u64 (the rare, lane-divergent paths). */
-    uint64_t next_lane(int l) { return step_lane(l); }
-
-    /** Bit-identical to Rng::uniform on lane l's stream. */
-    double uniform_lane(int l)
+    uint64_t next_lane(int l)
     {
-        return static_cast<double>(next_lane(l) >> 11) * 0x1.0p-53;
+        return xoshiro_step(s0_[l], s1_[l], s2_[l], s3_[l]);
     }
-
-    /** Bit-identical to Rng::bernoulli on lane l's stream. */
-    bool bernoulli_lane(int l, double p)
-    {
-        if (p <= 0.0)
-            return false;
-        if (p >= 1.0)
-            return true;
-        return uniform_lane(l) < p;
-    }
-
-    /** Bit-identical to Rng::uniform_int on lane l's stream. */
-    uint32_t uniform_int_lane(int l, uint32_t n)
-    {
-        return static_cast<uint32_t>(
-            (static_cast<__uint128_t>(next_lane(l)) * n) >> 64);
-    }
-
-    /** Bit-identical to Rng::bit on lane l's stream. */
-    bool bit_lane(int l) { return (next_lane(l) >> 63) != 0; }
 
   private:
-    static uint64_t rotl(uint64_t x, int k)
-    {
-        return (x << k) | (x >> (64 - k));
-    }
-
-    uint64_t step_lane(int l)
-    {
-        const uint64_t result = rotl(s1_[l] * 5, 7) * 9;
-        const uint64_t t = s1_[l] << 17;
-        s2_[l] ^= s0_[l];
-        s3_[l] ^= s1_[l];
-        s1_[l] ^= s2_[l];
-        s0_[l] ^= s3_[l];
-        s2_[l] ^= t;
-        s3_[l] = rotl(s3_[l], 45);
-        return result;
-    }
-
     alignas(64) uint64_t s0_[kMaxBatchLanes];
     alignas(64) uint64_t s1_[kMaxBatchLanes];
     alignas(64) uint64_t s2_[kMaxBatchLanes];
@@ -360,12 +290,11 @@ class BatchFrameSim final : public BatchSimulator {
     int batch_lanes() const override { return n_lanes_; }
 
     /**
-     * Restores the just-constructed state under the master Rng(seed):
-     * flags/history/scratch/frames cleared, the shot counter rewound to
-     * 0, every lane reseeded with master.split(0) and lane 0 active (the
-     * post-construction probing state).  The runner resets a cached
-     * engine per scheduler block, bit-identical to fresh construction at
-     * every K.
+     * Restarts under the master Rng(seed): the same scrub as
+     * reset_shot_batch, with the shot counter rewound to 0 and lane 0
+     * active on master.split(0) but not yet counted (the probing state).
+     * The constructor ends in this call, so an engine the runner reuses
+     * per scheduler block is bit-identical to a fresh one at every K.
      */
     void reset_for_block(uint64_t seed) override;
 
@@ -467,8 +396,14 @@ class BatchFrameSim final : public BatchSimulator {
     template <int WT> void hadamard(int q, const LaneMask* lanes);
     /** Noiseless |0> reset: clears both frame bits. */
     template <int WT> void reset_z(int q, const LaneMask* lanes);
-    /** Z readout flips of every lane: the X-frame words (W words). */
-    template <int WT> void measure_z(int q, LaneMask* out) const;
+
+    /**
+     * The Z readout of qubit q in every active lane, written to the
+     * `flip` span: a leaked lane reads a fair coin, a clean lane its
+     * X-frame bit XOR a readout error at rate p.  Both the round's
+     * ancilla readouts and the final data readout are this one rule.
+     */
+    template <int WT> void readout(int q, LaneMask* flip);
 
     void apply_lrc_data(int q, int lane);
     void apply_lrc_check(int c, int lane);
@@ -518,22 +453,22 @@ class BatchFrameSim final : public BatchSimulator {
     /** Global lane index of the k-th set bit of a span (k < popcount). */
     static int kth_set_lane(const LaneMask* mask, int n_words, uint64_t k);
 
-    // Payload draws (Pauli choice, transport direction, readout coin...)
+    // Payload draws (Pauli choice, transport direction, LRC noise...)
     // after a fire decision: lockstep takes them from the firing lane's
     // own stream (scalar-aligned), sparse from the one event stream.
+    // Either way they go through Rng's own draw formulas.
+    uint64_t payload_word(int lane)
+    {
+        return sparse_ ? event_rng_.next_u64() : lane_rng_.next_lane(lane);
+    }
     uint32_t payload_uniform_int(int lane, uint32_t n)
     {
-        return sparse_ ? event_rng_.uniform_int(n)
-                       : lane_rng_.uniform_int_lane(lane, n);
+        return Rng::uniform_int_of(payload_word(lane), n);
     }
-    bool payload_bit(int lane)
-    {
-        return sparse_ ? event_rng_.bit() : lane_rng_.bit_lane(lane);
-    }
+    bool payload_bit(int lane) { return Rng::bit_of(payload_word(lane)); }
     bool payload_bernoulli(int lane, double p)
     {
-        return sparse_ ? event_rng_.bernoulli(p)
-                       : lane_rng_.bernoulli_lane(lane, p);
+        return Rng::bernoulli_of(p, [&] { return payload_word(lane); });
     }
 
     /** Re-arms the sparse event stream + countdowns at a reset point. */
@@ -544,6 +479,14 @@ class BatchFrameSim final : public BatchSimulator {
         rate_pl_.skip_valid = false;
         rate_mlr_.skip_valid = false;
     }
+
+    /**
+     * Clears every frame, flag, history and scratch span, activates
+     * lanes [0, n_lanes) and arms their streams from shot
+     * shots_started_ on (the counter itself does not move).  Both resets
+     * are this scrub, and so is construction.
+     */
+    void start_batch(int n_lanes);
 
     /**
      * Packs bits_[0..n) (each 0 or 1) into all words_ words of out; the
@@ -594,7 +537,6 @@ class BatchFrameSim final : public BatchSimulator {
     /// Per-lane LRC gadget lists of the current round (data qubit q as
     /// q, check c as n_data + c), ascending: the lane-major apply order.
     std::vector<std::vector<int>> lane_lrc_;
-    std::vector<int> lrc_partner_;
 };
 
 }  // namespace gld

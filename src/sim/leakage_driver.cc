@@ -19,19 +19,10 @@ LeakageDriver::LeakageDriver(const CssCode& code, const RoundCircuit& rc,
     mlr_.assign(nc, 0);
     det_.assign(nc, 0);
     final_.assign(static_cast<size_t>(code.n_data()), 0);
-    // Fixed LRC partner per data qubit: its first adjacent check's ancilla.
-    // Identical across backends by construction, so LRC-induced leak flow
-    // (the pump-in mechanism of §3.3) matches everywhere.
-    lrc_partner_.assign(static_cast<size_t>(code.n_data()), -1);
-    for (int q = 0; q < code.n_data(); ++q) {
-        if (!code.data_adjacency()[q].empty())
-            lrc_partner_[static_cast<size_t>(q)] =
-                code.data_adjacency()[q].front();
-    }
 }
 
 void
-LeakageDriver::reset_shot()
+LeakageDriver::start_shot(uint64_t k)
 {
     std::fill(leaked_.begin(), leaked_.end(), 0);
     std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
@@ -40,24 +31,25 @@ LeakageDriver::reset_shot()
     // sequence depends only on (master seed, k) — never on the draw count
     // of the shots before it.  The batch driver relies on this to replay
     // 64 shots in lockstep bit-identically (lane k == shot k).
-    rng_ = master_rng_.split(shot_index_++);
+    rng_ = master_rng_.split(k);
     state_->reset_state();
+}
+
+void
+LeakageDriver::reset_shot()
+{
+    start_shot(shot_index_++);
 }
 
 void
 LeakageDriver::reset_for_block(Rng noise_rng)
 {
-    // Mirror of the constructor's RNG state (master + split(0) current
-    // stream, shot counter 0) plus an explicit backend-state reset — a
-    // fresh driver gets a fresh backend for free, a reused one must
-    // scrub whatever the previous block left.
+    // Shot 0's stream goes live without being counted, as at
+    // construction; the backend state is scrubbed too, since a reused
+    // driver's backend holds whatever the previous block left.
     master_rng_ = noise_rng;
-    rng_ = master_rng_.split(0);
     shot_index_ = 0;
-    std::fill(leaked_.begin(), leaked_.end(), 0);
-    std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
-    first_round_ = true;
-    state_->reset_state();
+    start_shot(0);
 }
 
 void
@@ -152,7 +144,7 @@ LeakageDriver::apply_lrc_data(int q)
     // backend preserves the frame through the gadget (state swapped back
     // after the ancilla reset), an exact backend rejoins with the parked
     // collapsed state — but the flag dynamics are the driver's alone.
-    const int pc = lrc_partner_[static_cast<size_t>(q)];
+    const int pc = lrc_partner(*code_, q);
     if (pc >= 0) {
         const int anc = code_->ancilla_of(pc);
         const bool anc_was_leaked = leaked(anc);
@@ -236,16 +228,7 @@ LeakageDriver::run_round(const LrcMasks& lrcs)
             break;
           case OpType::kMeasure: {
             const int anc = op.q0;
-            LaneMask flip = 0;
-            if (leaked(anc)) {
-                // Two-level readout of a leaked qubit: random outcome.
-                flip = rng_.bit() ? 1 : 0;
-            } else {
-                flip = state_->measure_z(anc);
-                if (rng_.bernoulli(np_.p))
-                    flip ^= 1;
-            }
-            meas_[static_cast<size_t>(op.mslot)] = flip;
+            meas_[static_cast<size_t>(op.mslot)] = readout(anc);
             // MLR leak flag with symmetric misclassification.
             LaneMask leak_flag = leaked(anc) ? 1 : 0;
             if (rng_.bernoulli(np_.mlr_err()))
@@ -271,20 +254,23 @@ LeakageDriver::run_round(const LrcMasks& lrcs)
     first_round_ = false;
 }
 
+LaneMask
+LeakageDriver::readout(int q)
+{
+    // Two-level readout of a leaked qubit: random outcome.
+    if (leaked(q))
+        return rng_.bit() ? 1 : 0;
+    LaneMask flip = state_->measure_z(q);
+    if (rng_.bernoulli(np_.p))
+        flip ^= 1;
+    return flip;
+}
+
 const LaneMask*
 LeakageDriver::final_data_measure()
 {
-    for (int q = 0; q < code_->n_data(); ++q) {
-        LaneMask flip = 0;
-        if (leaked(q)) {
-            flip = rng_.bit() ? 1 : 0;
-        } else {
-            flip = state_->measure_z(q);
-            if (rng_.bernoulli(np_.p))
-                flip ^= 1;
-        }
-        final_[static_cast<size_t>(q)] = flip;
-    }
+    for (int q = 0; q < code_->n_data(); ++q)
+        final_[static_cast<size_t>(q)] = readout(q);
     return final_.data();
 }
 

@@ -129,13 +129,12 @@ class LeakageDriver final {
     void reset_shot();
 
     /**
-     * Restores the driver to its just-constructed state under a NEW
-     * master stream: flags/history cleared, the shot counter rewound to
-     * 0, the current stream re-derived as noise_rng.split(0) (exactly
-     * the post-construction state), and the backend state
-     * re-initialized.  The simulator-reuse path resets a cached driver
-     * per scheduler block with the block's own master, making reuse
-     * bit-identical to fresh construction.
+     * Restarts the driver under a NEW master stream: the same scrub as
+     * reset_shot(), with the shot counter rewound to 0 and shot 0's
+     * stream live but not yet counted, as after construction.  The
+     * simulator-reuse path resets a cached driver per scheduler block
+     * with the block's own master, making reuse bit-identical to fresh
+     * construction.
      */
     void reset_for_block(Rng noise_rng);
 
@@ -180,10 +179,15 @@ class LeakageDriver final {
      */
     const LaneMask* final_data_measure();
 
-    /** The LRC partner ancilla (check index) used for data qubit q. */
-    int lrc_partner(int q) const { return lrc_partner_[q]; }
-
   private:
+    /** Scrubs flags, history and backend state; shot k's stream goes live. */
+    void start_shot(uint64_t k);
+    /**
+     * Z readout flip of qubit q: a fair coin if it is leaked, else the
+     * measure_z primitive XOR a readout error at rate p.  The round's
+     * ancilla readouts and the final data readout are this one rule.
+     */
+    LaneMask readout(int q);
     void apply_lrc_data(int q);
     void apply_lrc_check(int c);
     void depolarize1(int q);
@@ -207,7 +211,6 @@ class LeakageDriver final {
     std::vector<LaneMask> mlr_;        ///< last round's MLR flag per check
     std::vector<LaneMask> det_;        ///< last round's detector per check
     std::vector<LaneMask> final_;      ///< final readout per data qubit
-    std::vector<int> lrc_partner_;
     bool first_round_ = true;
 };
 
@@ -233,7 +236,7 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
      * as the driver master, so resetting the driver with Rng(seed)
      * reproduces it exactly.  A backend with private randomness
      * (tableau projections) overrides this to re-derive BOTH streams
-     * from the seed, mirroring its constructor.
+     * from the seed.
      */
     void reset_for_block(uint64_t seed) override
     {
@@ -274,9 +277,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     {
         return driver_.final_data_measure();
     }
-
-    /** The LRC partner ancilla (check index) used for data qubit q. */
-    int lrc_partner(int q) const { return driver_.lrc_partner(q); }
 
   protected:
     /**

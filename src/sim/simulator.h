@@ -86,6 +86,20 @@ struct LrcMasks {
 };
 
 /**
+ * The partner ancilla (check index) of an LRC on data qubit q: its first
+ * adjacent check, or -1 for a qubit in no check.  A data-qubit LRC
+ * swaps leakage with this partner (sim/leakage_driver.h), so the
+ * LRC-induced leak flow is the same in every engine that reads it.
+ */
+inline int
+lrc_partner(const CssCode& code, int q)
+{
+    const std::vector<int>& adj =
+        code.data_adjacency()[static_cast<size_t>(q)];
+    return adj.empty() ? -1 : adj.front();
+}
+
+/**
  * One round's observables for every lane of a K-word batch: the words a
  * word-parallel policy decides from.  Spans are K words per check
  * (detector, mlr_flag: entry c*K+w) or per qubit (leaked: entry q*K+w,
@@ -442,6 +456,23 @@ NoiseSampling noise_sampling_from_name(const std::string& name);
  * variable and the known modes.
  */
 NoiseSampling noise_sampling_from_env();
+
+/**
+ * Sets a config's engine from the environment: the backend from
+ * GLD_BACKEND, the batch width from GLD_BATCH_WORDS and the noise
+ * sampling from GLD_NOISE_SAMPLING (the three functions above).  The
+ * example and bench binaries take their engine through this one call,
+ * so every CI env lane reaches all of them.  `Config` is
+ * ExperimentConfig or campaign::CampaignSpec.
+ */
+template <typename Config>
+void
+engine_from_env(Config* cfg)
+{
+    cfg->backend = backend_from_env();
+    cfg->batch_words = batch_words_from_env();
+    cfg->noise_sampling = noise_sampling_from_env();
+}
 
 /**
  * RNG contract group of `backend` running under `sampling` (from the

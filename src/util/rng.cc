@@ -15,12 +15,6 @@ splitmix64(uint64_t& x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) : seed_(seed)
@@ -31,46 +25,6 @@ Rng::Rng(uint64_t seed) : seed_(seed)
     // Avoid the all-zero state (cannot occur from splitmix64, but be safe).
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-uint64_t
-Rng::next_u64()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53-bit mantissa construction.
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
-uint32_t
-Rng::uniform_int(uint32_t n)
-{
-    // Lemire's multiply-shift rejection-free-enough method; bias is
-    // negligible (< 2^-32) for the n used here.
-    return static_cast<uint32_t>(
-        (static_cast<__uint128_t>(next_u64()) * n) >> 64);
 }
 
 Rng

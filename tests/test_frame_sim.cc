@@ -187,7 +187,7 @@ TEST(LeakFrameSim, LrcSwapPumpsLeakedPartnerIntoData)
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 5);
     const int q = 0;
-    const int partner = sim.lrc_partner(q);
+    const int partner = lrc_partner(code, q);
     sim.inject_check_leak(partner);
     EXPECT_FALSE(sim.data_leaked(q));
     LrcSchedule sched;

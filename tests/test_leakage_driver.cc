@@ -309,7 +309,7 @@ TEST(LeakageDriver, LrcDataGadgetPumpsLeakedPartnerInAndParks)
     // circuit runs, and clear the ancilla.
     Harness h(noiseless());
     const int q = 0;
-    const int pc = h.driver.lrc_partner(q);
+    const int pc = lrc_partner(h.code, q);
     ASSERT_GE(pc, 0);
     h.driver.set_check_leak(pc);
     h.state.log.clear();
