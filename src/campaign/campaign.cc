@@ -237,6 +237,25 @@ job_file_mismatch(const Json& j, const CampaignSpec& spec, const JobSpec& job,
 }
 
 /**
+ * Parses the per-job file `path` and calls `use` on it.  Any error on
+ * the way — a file that does not parse, a missing key, a bad field or a
+ * refusal `use` throws — is rethrown as "<cmd>: <path>: <error>;
+ * <advice>", so a campaign's user learns which of its files is broken.
+ */
+void
+read_job_file(const std::string& cmd, const std::string& path,
+              const std::string& advice,
+              const std::function<void(const Json&)>& use)
+{
+    try {
+        use(Json::parse(io::read_file(path)));
+    } catch (const std::exception& e) {
+        throw std::runtime_error(cmd + ": " + path + ": " + e.what() + "; " +
+                                 advice);
+    }
+}
+
+/**
  * Calls `use` on every shard telemetry file of `job` in `out_dir` whose
  * header names the job.  A file that does not parse, names another job
  * or makes `use` throw is skipped — or, with `strict`, refused naming the
@@ -254,17 +273,19 @@ read_job_telemetry(const CampaignSpec& spec, const JobSpec& job, int n_shards,
         if (!io::file_exists(path))
             continue;
         try {
-            const Json j = Json::parse(io::read_file(path));
-            const std::string why =
-                job_file_mismatch(j, spec, job, n_shards, shard);
-            if (!why.empty())
-                throw std::runtime_error("belongs to a different job (" +
-                                         why + ")");
-            use(j);
-        } catch (const std::exception& e) {
+            read_job_file("telemetry", path, "re-run that shard",
+                          [&](const Json& j) {
+                              const std::string why = job_file_mismatch(
+                                  j, spec, job, n_shards, shard);
+                              if (!why.empty())
+                                  throw std::runtime_error(
+                                      "belongs to a different job (" + why +
+                                      ")");
+                              use(j);
+                          });
+        } catch (const std::exception&) {
             if (strict)
-                throw std::runtime_error("telemetry " + path + ": " +
-                                         e.what() + "; re-run that shard");
+                throw;
         }
     }
 }
@@ -958,37 +979,38 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
                                          path + " (run --shard " +
                                          std::to_string(shard) + "/" +
                                          std::to_string(n_shards) + " first)");
-            const Json j = Json::parse(io::read_file(path));
-            const std::string who =
-                job_file_mismatch(j, spec, job, n_shards, shard);
-            if (!who.empty())
-                throw std::runtime_error("merge: " + path +
-                                         " belongs to a different job (" +
-                                         who + "); re-run that shard");
-            const Json& jstreams = j["streams"];
-            for (size_t i = 0; i < jstreams.size(); ++i) {
-                const Json& entry = jstreams.at(i);
-                const int s = io::int_field(entry, "stream");
-                if (s < 0 || s >= total)
-                    throw std::runtime_error("merge: " + path +
-                                             " contains out-of-range stream " +
-                                             std::to_string(s));
-                if (seen[static_cast<size_t>(s)])
-                    throw std::runtime_error("merge: stream " +
-                                             std::to_string(s) + " of job " +
-                                             std::to_string(job.index) +
-                                             " appears in two shard files");
-                seen[static_cast<size_t>(s)] = 1;
-                Metrics& part = parts[static_cast<size_t>(s)];
-                part = io::metrics_from_json(entry["metrics"]);
-                const std::string why = metrics_mismatch(
-                    part, job.cfg, ExperimentRunner::stream_shots(job.cfg, s));
-                if (!why.empty())
-                    throw std::runtime_error(
-                        "merge: " + path + " stream " + std::to_string(s) +
-                        " contradicts job " + std::to_string(job.index) +
-                        ": " + why + "; re-run that shard");
-            }
+            read_job_file(
+                "merge", path, "re-run that shard", [&](const Json& j) {
+                const std::string who =
+                    job_file_mismatch(j, spec, job, n_shards, shard);
+                if (!who.empty())
+                    throw std::runtime_error("belongs to a different job (" +
+                                             who + ")");
+                const Json& jstreams = j["streams"];
+                for (size_t i = 0; i < jstreams.size(); ++i) {
+                    const Json& entry = jstreams.at(i);
+                    const int s = io::int_field(entry, "stream");
+                    if (s < 0 || s >= total)
+                        throw std::runtime_error("out-of-range stream " +
+                                                 std::to_string(s));
+                    if (seen[static_cast<size_t>(s)])
+                        throw std::runtime_error(
+                            "stream " + std::to_string(s) + " of job " +
+                            std::to_string(job.index) +
+                            " appears in two shard files");
+                    seen[static_cast<size_t>(s)] = 1;
+                    Metrics& part = parts[static_cast<size_t>(s)];
+                    part = io::metrics_from_json(entry["metrics"]);
+                    const std::string why = metrics_mismatch(
+                        part, job.cfg,
+                        ExperimentRunner::stream_shots(job.cfg, s));
+                    if (!why.empty())
+                        throw std::runtime_error(
+                            "stream " + std::to_string(s) +
+                            " contradicts job " + std::to_string(job.index) +
+                            ": " + why);
+                }
+            });
         }
         for (int s = 0; s < total; ++s) {
             if (!seen[static_cast<size_t>(s)])
@@ -1025,20 +1047,21 @@ load_merged(const CampaignSpec& spec, const std::string& out_dir)
         if (!io::file_exists(path))
             throw std::runtime_error("report: missing merged result " + path +
                                      " (run merge first)");
-        const Json j = Json::parse(io::read_file(path));
-        const std::string who =
-            job_file_mismatch(j, spec, job, /*n_shards=*/0);
-        if (!who.empty())
-            throw std::runtime_error("report: " + path +
-                                     " belongs to a different job (" + who +
-                                     "); re-run merge");
-        Metrics m = io::metrics_from_json(j["metrics"]);
-        const std::string why = metrics_mismatch(m, job.cfg, job.cfg.shots);
-        if (!why.empty())
-            throw std::runtime_error("report: " + path + " contradicts job " +
-                                     std::to_string(job.index) + ": " + why +
-                                     "; re-run merge");
-        out.push_back(std::move(m));
+        read_job_file("report", path, "re-run merge", [&](const Json& j) {
+            const std::string who =
+                job_file_mismatch(j, spec, job, /*n_shards=*/0);
+            if (!who.empty())
+                throw std::runtime_error("belongs to a different job (" + who +
+                                         ")");
+            Metrics m = io::metrics_from_json(j["metrics"]);
+            const std::string why =
+                metrics_mismatch(m, job.cfg, job.cfg.shots);
+            if (!why.empty())
+                throw std::runtime_error("contradicts job " +
+                                         std::to_string(job.index) + ": " +
+                                         why);
+            out.push_back(std::move(m));
+        });
     }
     return out;
 }

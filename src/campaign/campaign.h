@@ -328,18 +328,20 @@ void remove_results(const CampaignSpec& spec, int n_shards,
  * Merges the per-stream partials of all `n_shards` result files per job,
  * in ascending stream order, writes `<name>.job####.merged.json` files
  * and returns the merged Metrics in job order.  Throws, naming the file,
- * if any stream of any job is missing or duplicated, a file's identity
- * header names another job, or its per-stream Metrics contradict the job
- * (a negative count included); then no merged file is written.
+ * if any stream of any job is missing or duplicated, a file does not
+ * parse or lacks a field, its identity header names another job, or its
+ * per-stream Metrics are malformed or contradict the job (a negative
+ * count included); then no merged file is written.
  */
 std::vector<Metrics> merge_campaign(const CampaignSpec& spec, int n_shards,
                                     const std::string& out_dir);
 
 /**
  * Loads the merged Metrics of every job (merge_campaign output files).
- * Throws, naming the file, when one is missing, its identity header names
- * another job (e.g. the spec's policies were reordered since the merge),
- * or its Metrics contradict a job of spec.shots shots.
+ * Throws, naming the file, when one is missing or does not parse, its
+ * identity header names another job (e.g. the spec's policies were
+ * reordered since the merge), or its Metrics are malformed or contradict
+ * a job of spec.shots shots.
  */
 std::vector<Metrics> load_merged(const CampaignSpec& spec,
                                  const std::string& out_dir);

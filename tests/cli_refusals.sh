@@ -101,6 +101,22 @@ if ls "$runs" | grep -q merged; then
     fail=1
 fi
 
+# A shard file cut short, or one holding a total that is not a hex double,
+# is refused naming the file: the bare parse error does not say which of
+# the campaign's files is broken.
+head -c 50 "$dir/last.orig" > "$last"
+expect merge_truncated_shard "$last" \
+    "$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$runs"
+sed '1,/"fn_total"/s/"fn_total": "[^"]*"/"fn_total": "0xnothex"/' \
+    "$dir/last.orig" > "$last"
+expect merge_bad_metrics_hex "$last" \
+    "$bin" merge --spec "$dir/tiny.json" --shards 1 --out "$runs"
+cp "$dir/last.orig" "$last"
+if ls "$runs" | grep -q merged; then
+    echo "FAIL merge wrote a merged file from a broken shard file"
+    fail=1
+fi
+
 # report and heatmap refuse a file of another job. Swapping the first two
 # policies keeps every job's config hash (paired seeds), so only the rest
 # of the file's identity header tells job 0's files from job 1's.
