@@ -12,7 +12,7 @@ using namespace gld::bench;
 namespace {
 
 void
-run_point(const CodeBundle& bundle, const NoiseParams& np,
+run_point(const campaign::CodeInstance& bundle, const NoiseParams& np,
           const SpecModelOptions& opt, const std::string& label,
           TablePrinter* t)
 {

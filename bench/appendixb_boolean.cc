@@ -16,7 +16,7 @@ using namespace gld::bench;
 namespace {
 
 void
-emit(const std::string& title, const CodeBundle& bundle,
+emit(const std::string& title, const campaign::CodeInstance& bundle,
      const NoiseParams& np, bool two_round)
 {
     const PatternTableSet tables =
@@ -75,7 +75,7 @@ main()
              false);
     }
     {
-        CodeBundle b(BpcCode::make_default());
+        campaign::CodeInstance b(BpcCode::make_default());
         emit("BPC code, 7-bit tagged checker (Appendix B.2)", b, np, false);
     }
     {

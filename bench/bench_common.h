@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/registry.h"
 #include "codes/bpc_code.h"
 #include "codes/color_code.h"
 #include "codes/hgp_code.h"
@@ -20,29 +21,18 @@
 namespace gld {
 namespace bench {
 
-/** A code + circuit + context bundle, kept alive together. */
-struct CodeBundle {
-    CssCode code;
-    RoundCircuit rc;
-    CodeContext ctx;
-
-    explicit CodeBundle(CssCode c)
-        : code(std::move(c)), rc(code),
-          ctx(code, rc, CodeContext::default_scope(code))
-    {
-    }
-};
-
-inline std::unique_ptr<CodeBundle>
+/** Distance-d rotated surface code with its circuit and context. */
+inline std::unique_ptr<campaign::CodeInstance>
 surface(int d)
 {
-    return std::make_unique<CodeBundle>(SurfaceCode::make(d));
+    return std::make_unique<campaign::CodeInstance>(SurfaceCode::make(d));
 }
 
-inline std::unique_ptr<CodeBundle>
+/** Distance-d color code with its circuit and context. */
+inline std::unique_ptr<campaign::CodeInstance>
 color(int d)
 {
-    return std::make_unique<CodeBundle>(ColorCode::make(d));
+    return std::make_unique<campaign::CodeInstance>(ColorCode::make(d));
 }
 
 /** Prints the standard bench banner with shot scaling info. */
@@ -51,10 +41,9 @@ void banner(const std::string& title, const std::string& paper_ref);
 /**
  * Applies the environment knobs every generator honours to a config:
  * threads from GLD_THREADS (default: hardware concurrency, so the bench
- * gates exercise the chunked scheduler at full width), the backend from
- * GLD_BACKEND (backend_from_env()) and the batch width from
- * GLD_BATCH_WORDS (batch_words_from_env()).  Shot counts stay per-bench
- * (BenchConfig::shots).
+ * gates exercise the chunked scheduler at full width) and the engine
+ * from GLD_BACKEND, GLD_BATCH_WORDS and GLD_NOISE_SAMPLING
+ * (engine_from_env()).  Shot counts stay per-bench (BenchConfig::shots).
  */
 void apply_env(ExperimentConfig* cfg);
 

@@ -19,8 +19,8 @@ struct Histogram {
 };
 
 Histogram
-run_policy(const CodeBundle& bundle, const NoiseParams& np, Policy* policy,
-           int shots, int rounds)
+run_policy(const campaign::CodeInstance& bundle, const NoiseParams& np,
+           Policy* policy, int shots, int rounds)
 {
     Histogram h;
     LeakFrameSim sim(bundle.code, bundle.rc, np, 99);

@@ -38,8 +38,7 @@ main()
     spec.shots = BenchConfig::shots(300);
     spec.rounds = 70;  // 10d, as in the paper's Fig 12 horizon
     spec.leakage_sampling = true;
-    spec.backend = backend_from_env();
-    spec.batch_words = batch_words_from_env();
+    engine_from_env(&spec);
     spec.codes = {"surface:7"};
     spec.noise = {NoiseParams::standard(1e-3, 0.1)};
     // One paired list: registry name + the paper's display name, so the

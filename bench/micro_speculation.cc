@@ -15,17 +15,17 @@ using namespace gld::bench;
 
 namespace {
 
-const CodeBundle&
+const campaign::CodeInstance&
 surface7()
 {
-    static CodeBundle bundle(SurfaceCode::make(7));
+    static campaign::CodeInstance bundle(SurfaceCode::make(7));
     return bundle;
 }
 
 void
 BM_PatternLookup(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     const NoiseParams np = NoiseParams::standard();
     const PatternTableSet tables =
         PatternTableSet::build(b.ctx, np, {}, false);
@@ -45,7 +45,7 @@ BENCHMARK(BM_PatternLookup);
 void
 BM_TableBuildSingleRound(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     const NoiseParams np = NoiseParams::standard();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -57,7 +57,7 @@ BENCHMARK(BM_TableBuildSingleRound);
 void
 BM_TableBuildTwoRound(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     const NoiseParams np = NoiseParams::standard();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -69,7 +69,7 @@ BENCHMARK(BM_TableBuildTwoRound);
 void
 BM_SimulatorRound(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     LeakFrameSim sim(b.code, b.rc, NoiseParams::standard(), 1);
     LrcSchedule none;
     for (auto _ : state)
@@ -92,8 +92,8 @@ BM_BackendThroughput(benchmark::State& state)
     // rows of the SAME run; the @ler row turns the union-find decoder on
     // so the decode stage is visible in the stage split instead of
     // rounding to zero.  Run with --benchmark_filter=BackendThroughput.
-    static CodeBundle bundle5(SurfaceCode::make(5));
-    const CodeBundle& b = bundle5;
+    static campaign::CodeInstance bundle5(SurfaceCode::make(5));
+    const campaign::CodeInstance& b = bundle5;
     const int batch_words = static_cast<int>(state.range(1));
     const int threads = static_cast<int>(state.range(2));
     const auto sampling = static_cast<NoiseSampling>(state.range(3));
@@ -173,7 +173,7 @@ BM_RunnerThreadScaling(benchmark::State& state)
     // count at the default 32-stream config: items/s should keep rising
     // well past 8 threads (the old one-unit-per-stream scheduler's
     // plateau).  Run with --benchmark_filter=RunnerThreadScaling.
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     ExperimentConfig cfg;
     cfg.np = NoiseParams::standard();
     cfg.rounds = 10;
@@ -191,7 +191,7 @@ BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(
 void
 BM_UnionFindDecode(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     const int rounds = 21;
     DemBuilder dem(b.code, b.rc, NoiseParams::standard(), rounds);
     const DecodingGraph g = dem.build();
@@ -208,7 +208,7 @@ BENCHMARK(BM_UnionFindDecode);
 void
 BM_DemBuild(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const campaign::CodeInstance& b = surface7();
     for (auto _ : state) {
         DemBuilder dem(b.code, b.rc, NoiseParams::standard(), 21);
         benchmark::DoNotOptimize(dem.build());

@@ -15,17 +15,17 @@ main()
 
     struct Entry {
         std::string name;
-        std::unique_ptr<CodeBundle> bundle;
+        std::unique_ptr<campaign::CodeInstance> bundle;
     };
     std::vector<Entry> codes;
     codes.push_back({"Surface (d=7)", surface(7)});
     codes.push_back({"Color (d=7)", color(7)});
     codes.push_back(
         {"HGP (Hamming)",
-         std::make_unique<CodeBundle>(HgpCode::make_hamming())});
+         std::make_unique<campaign::CodeInstance>(HgpCode::make_hamming())});
     codes.push_back(
         {"BPC [[30,4]]",
-         std::make_unique<CodeBundle>(BpcCode::make_default())});
+         std::make_unique<campaign::CodeInstance>(BpcCode::make_default())});
 
     const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
     const TimingModel tm;

@@ -13,7 +13,8 @@ using namespace gld::bench;
 namespace {
 
 double
-measure_conditional(const CodeBundle& bundle, double mobility, uint64_t seed)
+measure_conditional(const campaign::CodeInstance& bundle, double mobility,
+                    uint64_t seed)
 {
     NoiseParams np = NoiseParams::standard(1e-3, 1.0);
     np.mobility = mobility;

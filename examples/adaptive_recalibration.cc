@@ -37,8 +37,7 @@ main()
         cfg.rounds = 70;
         cfg.shots = BenchConfig::shots(200);
         cfg.threads = BenchConfig::threads();
-        cfg.backend = backend_from_env();
-        cfg.batch_words = batch_words_from_env();
+        engine_from_env(&cfg);
         cfg.leakage_sampling = true;
         ExperimentRunner runner(ctx, cfg);
         // Stale: tables built for the old calibration point.

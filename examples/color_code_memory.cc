@@ -59,8 +59,7 @@ main()
     spec.shots = BenchConfig::shots(200);
     spec.rounds = 100;
     spec.leakage_sampling = true;
-    spec.backend = backend_from_env();
-    spec.batch_words = batch_words_from_env();
+    engine_from_env(&spec);
     spec.codes = {"color:7"};
     spec.noise = {np};
     for (const auto& entry : lineup)

@@ -29,8 +29,7 @@ run_code(const CssCode& code)
     cfg.rounds = 100;
     cfg.shots = BenchConfig::shots(200);
     cfg.threads = BenchConfig::threads();
-    cfg.backend = backend_from_env();
-    cfg.batch_words = batch_words_from_env();
+    engine_from_env(&cfg);
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);
 

@@ -30,8 +30,7 @@ main()
     cfg.rounds = 50;
     cfg.shots = BenchConfig::shots(400);
     cfg.threads = BenchConfig::threads();
-    cfg.backend = backend_from_env();
-    cfg.batch_words = batch_words_from_env();
+    engine_from_env(&cfg);
     cfg.compute_ler = true;
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);
