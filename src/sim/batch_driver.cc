@@ -205,28 +205,15 @@ BatchFrameSim::kth_set_lane(const LaneMask* mask, int n_words,
 
 template <int WT>
 inline LaneMask
-BatchFrameSim::sparse_bernoulli_mask(LaneRate& rate,
-                                          const LaneMask* mask,
-                                          LaneMask* out)
+BatchFrameSim::sparse_bernoulli_mask(LaneRate& rate, const LaneMask* mask,
+                                     LaneMask* out)
 {
     const int W = WT > 0 ? WT : words_;
-    LaneMask any_mask = 0;
+    uint64_t count = 0;
     for (int w = 0; w < W; ++w) {
         out[w] = 0;
-        any_mask |= mask[w];
-    }
-    // Degenerate rates short-circuit with zero draws, like lockstep's
-    // (and Rng::bernoulli's) no-draw contract.
-    if (rate.never || any_mask == 0)
-        return 0;
-    if (rate.always) {
-        for (int w = 0; w < W; ++w)
-            out[w] = mask[w];
-        return any_mask;
-    }
-    uint64_t count = 0;
-    for (int w = 0; w < W; ++w)
         count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
+    }
     if (!rate.skip_valid) {
         rate.skip = sparse_geometric(rate);
         rate.skip_valid = true;
@@ -246,19 +233,14 @@ BatchFrameSim::sparse_bernoulli_mask(LaneRate& rate,
         k += 1 + sparse_geometric(rate);
     }
     rate.skip = k - count;
-    LaneMask any = 0;
-    for (int w = 0; w < W; ++w)
-        any |= out[w];
-    return any;
+    return lanes_any(out, W);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline LaneMask
-BatchFrameSim::bernoulli_mask(LaneRate& rate,
-                                   const LaneMask* mask, LaneMask* out)
+BatchFrameSim::bernoulli_mask(LaneRate& rate, const LaneMask* mask,
+                              LaneMask* out)
 {
-    if (sparse_)
-        return sparse_bernoulli_mask<WT>(rate, mask, out);
     const int W = WT > 0 ? WT : words_;
     LaneMask any_mask = 0;
     for (int w = 0; w < W; ++w)
@@ -273,47 +255,40 @@ BatchFrameSim::bernoulli_mask(LaneRate& rate,
             out[w] = mask[w];
         return any_mask;
     }
+    if (sparse_)
+        return sparse_bernoulli_mask<WT>(rate, mask, out);
     LaneMask uncovered = 0;
     for (int w = 0; w < W; ++w)
         uncovered |= active_[w] & ~mask[w];
+    uint64_t fired = 0;
     if (uncovered == 0) {
         // Full-width site: every active lane draws, so one
         // step-and-compare pass over [0, n_lanes_) serves it.
-        if (lane_rng_.step_compare_all(n_lanes_, rate.thresh, bits_) == 0) {
-            lanes_zero(out, W);
-            return 0;
+        fired = lane_rng_.step_compare_all(n_lanes_, rate.thresh, bits_);
+    } else {
+        // Partial site (e.g. a reset skipping leaked lanes): masked step
+        // so only the mask's lanes advance, then the branchless compare —
+        // (a - t) has its sign bit set iff a < t (both fit in 53 bits).
+        lane_rng_.step_masked(n_lanes_, mask, draw_);
+        for (int l = 0; l < n_lanes_; ++l) {
+            // Mask during the compare: non-mask lanes' draw word is 0,
+            // which would otherwise read as a spurious fire.
+            bits_[l] = (((draw_[l] >> 11) - rate.thresh) >> 63) &
+                       ((mask[l >> 6] >> (l & 63)) & 1u);
+            fired |= bits_[l];
         }
-        pack_bits(n_lanes_, out);
-        LaneMask any = 0;
-        for (int w = 0; w < W; ++w) {
-            out[w] &= mask[w];
-            any |= out[w];
-        }
-        return any;
     }
-    // Partial site (e.g. a reset skipping leaked lanes): masked step so
-    // only the mask's lanes advance, then the branchless compare —
-    // (a - t) has its sign bit set iff a < t (both fit in 53 bits).
-    lane_rng_.step_masked(n_lanes_, mask, draw_);
-    uint64_t any = 0;
-    for (int l = 0; l < n_lanes_; ++l) {
-        // Mask during the compare: non-mask lanes' draw word is 0,
-        // which would otherwise read as a spurious fire.
-        bits_[l] = (((draw_[l] >> 11) - rate.thresh) >> 63) &
-                   ((mask[l >> 6] >> (l & 63)) & 1u);
-        any |= bits_[l];
-    }
-    if (any == 0) {
+    if (fired == 0) {
         lanes_zero(out, W);
         return 0;
     }
     pack_bits(n_lanes_, out);
-    LaneMask any_out = 0;
+    LaneMask any = 0;
     for (int w = 0; w < W; ++w) {
         out[w] &= mask[w];
-        any_out |= out[w];
+        any |= out[w];
     }
-    return any_out;
+    return any;
 }
 
 template <int WT>
@@ -558,19 +533,10 @@ BatchFrameSim::readout(int q, LaneMask* flip)
         ok[w] = active_[w] & ~lq[w];
         rnd[w] = 0;
     }
-    if (sparse_) {
-        // Event-driven: the error site draws over the clean lanes only,
-        // then the leaked lanes coin-flip from the event stream in
-        // ascending lane order.  A quiet site costs nothing.
-        sparse_bernoulli_mask<WT>(rate_p_, ok, err);
-        for_each_lane(lk, W, [&](int l) {
-            if (event_rng_.bit())
-                set_lane_bit(rnd, l);
-        });
-    } else if (!rate_p_.never && !rate_p_.always) {
-        // Every active lane consumes exactly one word — leaked lanes as
-        // Rng::bit, the rest as the readout-error Bernoulli — so one
-        // full-width step serves the whole site.
+    if (!sparse_ && !rate_p_.never && !rate_p_.always) {
+        // Lockstep: every active lane consumes exactly one word — leaked
+        // lanes as Rng::bit, the rest as the readout-error Bernoulli — so
+        // one full-width step serves the whole site.
         lane_rng_.step_all(n_lanes_, draw_);
         uint64_t any = 0;
         for (int l = 0; l < n_lanes_; ++l) {
@@ -585,13 +551,14 @@ BatchFrameSim::readout(int q, LaneMask* flip)
             rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
         });
     } else {
-        // At p <= 0 or p >= 1 the clean lanes must NOT draw, like
-        // Rng::bernoulli; only the leaked lanes take their coin.
-        lane_rng_.step_masked(n_lanes_, lk, draw_);
-        for (int w = 0; w < W; ++w)
-            err[w] = rate_p_.always ? ok[w] : 0;
+        // The error site over the clean lanes (no draw at all at p <= 0
+        // or p >= 1), then each leaked lane's coin in ascending lane
+        // order: the sparse event stream's order, and per lane the same
+        // draws as the full-width step above.
+        bernoulli_mask<WT>(rate_p_, ok, err);
         for_each_lane(lk, W, [&](int l) {
-            rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
+            if (payload_bit(l))
+                set_lane_bit(rnd, l);
         });
     }
     const LaneMask* fx = &fx_[span(q)];

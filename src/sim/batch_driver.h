@@ -426,14 +426,16 @@ class BatchFrameSim final : public BatchSimulator {
      * the fired lanes are written to the `out` span.  Returns the OR of
      * the out words (nonzero iff any lane fired).  Bit-identical per
      * lane to Rng::bernoulli, including the no-draw p<=0 / p>=1
-     * short-circuits.
+     * short-circuits.  Under sparse sampling the short-circuits still
+     * hold, and sparse_bernoulli_mask serves the rest.
      */
     template <int WT>
     LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
                             LaneMask* out);
 
     /**
-     * The event-driven Bernoulli site (NoiseSampling::kSparse): instead
+     * bernoulli_mask's event-driven form (NoiseSampling::kSparse), for a
+     * rate strictly inside (0, 1) and a nonempty mask: instead
      * of advancing every lane's stream, walk `rate`'s persistent
      * geometric countdown over the popcount(mask) candidate positions of
      * this site (ascending global lane order) and set only the firing
