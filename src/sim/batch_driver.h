@@ -131,8 +131,7 @@ class LaneRngBank {
                 n - base < kBatchLanes ? n - base : kBatchLanes;
             for (int b = 0; b < lim; ++b) {
                 const int l = base + b;
-                // Step a copy, then keep it only in the mask's lanes
-                // (branchless, so the loop vectorizes).
+                // Step a copy, then keep it only in the mask's lanes.
                 const uint64_t keep =
                     static_cast<uint64_t>(0) - ((mw >> b) & 1u);
                 uint64_t n0 = s0_[l], n1 = s1_[l], n2 = s2_[l], n3 = s3_[l];
@@ -172,10 +171,11 @@ class LaneRngBank {
     }
 
   private:
-    alignas(64) uint64_t s0_[kMaxBatchLanes];
-    alignas(64) uint64_t s1_[kMaxBatchLanes];
-    alignas(64) uint64_t s2_[kMaxBatchLanes];
-    alignas(64) uint64_t s3_[kMaxBatchLanes];
+    // Zeroed, so no state is indeterminate: a batch seeds only its lanes.
+    alignas(64) uint64_t s0_[kMaxBatchLanes] = {};
+    alignas(64) uint64_t s1_[kMaxBatchLanes] = {};
+    alignas(64) uint64_t s2_[kMaxBatchLanes] = {};
+    alignas(64) uint64_t s3_[kMaxBatchLanes] = {};
 };
 
 /**
