@@ -117,18 +117,6 @@ BatchFrameSim::set_leak(int q, const LaneMask* lanes)
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchFrameSim::apply_pauli(int q, const LaneMask* xs, const LaneMask* zs)
-{
-    const int W = WT > 0 ? WT : words_;
-    const size_t base = span(q);
-    for (int w = 0; w < W; ++w) {
-        fx_[base + static_cast<size_t>(w)] ^= xs[w];
-        fz_[base + static_cast<size_t>(w)] ^= zs[w];
-    }
-}
-
-template <int WT>
-__attribute__((always_inline)) inline void
 BatchFrameSim::coherent_cnot(int control, int target, const LaneMask* lanes)
 {
     const int W = WT > 0 ? WT : words_;
@@ -291,50 +279,35 @@ BatchFrameSim::bernoulli_mask(LaneRate& rate, const LaneMask* mask,
     return any;
 }
 
+inline void
+BatchFrameSim::depolarize_lane(int q, int lane)
+{
+    apply_pauli_lane(q, lane, 1 + payload_uniform_int(lane, 3));
+}
+
 template <int WT>
 __attribute__((always_inline)) inline void
 BatchFrameSim::depolarize1(int q)
 {
-    const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
-    if (bernoulli_mask<WT>(rate_p_, active_, fired) == 0)
-        return;
-    LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-    lanes_zero(xs, W);
-    lanes_zero(zs, W);
-    for_each_lane(fired, W, [&](int l) {
-        const uint32_t pauli = 1 + payload_uniform_int(l, 3);
-        xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-        zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
-    });
-    apply_pauli<WT>(q, xs, zs);
+    if (bernoulli_mask<WT>(rate_p_, active_, fired) != 0)
+        for_each_lane(fired, WT > 0 ? WT : words_,
+                      [&](int l) { depolarize_lane(q, l); });
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
 BatchFrameSim::depolarize2(int q0, int q1)
 {
-    const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
     if (bernoulli_mask<WT>(rate_p_, active_, fired) == 0)
         return;
-    LaneMask x0[kMaxBatchWords], z0[kMaxBatchWords];
-    LaneMask x1[kMaxBatchWords], z1[kMaxBatchWords];
-    lanes_zero(x0, W);
-    lanes_zero(z0, W);
-    lanes_zero(x1, W);
-    lanes_zero(z1, W);
-    for_each_lane(fired, W, [&](int l) {
+    for_each_lane(fired, WT > 0 ? WT : words_, [&](int l) {
+        // One of the 15 non-identity two-qubit Paulis, uniformly.
         const uint32_t pauli = 1 + payload_uniform_int(l, 15);
-        x0[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-        z0[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
-        x1[l >> 6] |= static_cast<LaneMask>((pauli >> 2) & 1u) << (l & 63);
-        z1[l >> 6] |= static_cast<LaneMask>((pauli >> 3) & 1u) << (l & 63);
+        apply_pauli_lane(q0, l, pauli & 3u);
+        apply_pauli_lane(q1, l, (pauli >> 2) & 3u);
     });
-    if (lanes_any(x0, W) | lanes_any(z0, W))
-        apply_pauli<WT>(q0, x0, z0);
-    if (lanes_any(x1, W) | lanes_any(z1, W))
-        apply_pauli<WT>(q1, x1, z1);
 }
 
 template <int WT>
@@ -344,6 +317,20 @@ BatchFrameSim::leak_maybe(int q)
     LaneMask leak[kMaxBatchWords];
     if (bernoulli_mask<WT>(rate_pl_, active_, leak) != 0)
         set_leak<WT>(q, leak);
+}
+
+inline void
+BatchFrameSim::malfunction_lane(int partner, int lane, bool is_control)
+{
+    if (partner >= code_->n_data() && !np_.leaked_gate_backaction) {
+        // An ancilla partner's bit flips with probability 1/2: via X for
+        // a Z-check target, via Z for an X-check control (measured in X
+        // between its Hadamards).
+        if (payload_bit(lane))
+            apply_pauli_lane(partner, lane, is_control ? kPauliZ : kPauliX);
+        return;
+    }
+    apply_pauli_lane(partner, lane, payload_uniform_int(lane, 4));
 }
 
 template <int WT>
@@ -366,64 +353,19 @@ BatchFrameSim::cnot(int control, int target)
     }
     if (any_clean != 0)
         coherent_cnot<WT>(control, target, clean);
-
     if (any_branch != 0) {
-        // The malfunction shape is lane-independent — whether the
-        // disturbed partner is an ancilla is a property of the circuit,
-        // not the shot.
-        LaneMask transport[kMaxBatchWords];
-        LaneMask xs_c[kMaxBatchWords], zs_c[kMaxBatchWords];
-        LaneMask xs_t[kMaxBatchWords], zs_t[kMaxBatchWords];
-        lanes_zero(transport, W);
-        lanes_zero(xs_c, W);
-        lanes_zero(zs_c, W);
-        lanes_zero(xs_t, W);
-        lanes_zero(zs_t, W);
-        const bool t_is_anc = target >= code_->n_data();
-        const bool c_is_anc = control >= code_->n_data();
+        // Each lane touches only its own bits, so a lane's transport
+        // cannot change what a later lane reads.
         for_each_lane(branch, W, [&](int l) {
-            const int wi = l >> 6;
-            const LaneMask bit = 1ull << (l & 63);
-            if ((cl[wi] & bit) != 0) {
-                // Leaked control: transport with prob `mobility`, else
-                // the target partner is disturbed.
-                if (payload_bernoulli(l, np_.mobility)) {
-                    transport[wi] |= bit;
-                } else if (t_is_anc && !np_.leaked_gate_backaction) {
-                    // Ancilla CNOT target is Z-measured: 50% X flip.
-                    if (payload_bit(l))
-                        xs_t[wi] |= bit;
-                } else {
-                    const uint32_t pauli = payload_uniform_int(l, 4);
-                    xs_t[wi] |= static_cast<LaneMask>(pauli & 1u)
-                                << (l & 63);
-                    zs_t[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                                << (l & 63);
-                }
+            if (!lane_bit(cl, l)) {
+                malfunction_lane(control, l, /*is_control=*/true);
+            } else if (payload_bernoulli(l, np_.mobility)) {
+                set_leak_lane(target, l);
+                clear_leak_lane(control, l);
             } else {
-                // Leaked target: the control partner is disturbed.
-                if (c_is_anc && !np_.leaked_gate_backaction) {
-                    // Ancilla CNOT control (X check, between its
-                    // Hadamards) is X-measured: 50% Z flip.
-                    if (payload_bit(l))
-                        zs_c[wi] |= bit;
-                } else {
-                    const uint32_t pauli = payload_uniform_int(l, 4);
-                    xs_c[wi] |= static_cast<LaneMask>(pauli & 1u)
-                                << (l & 63);
-                    zs_c[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                                << (l & 63);
-                }
+                malfunction_lane(target, l, /*is_control=*/false);
             }
         });
-        if (lanes_any(xs_t, W) | lanes_any(zs_t, W))
-            apply_pauli<WT>(target, xs_t, zs_t);
-        if (lanes_any(xs_c, W) | lanes_any(zs_c, W))
-            apply_pauli<WT>(control, xs_c, zs_c);
-        if (lanes_any(transport, W) != 0) {
-            set_leak<WT>(target, transport);
-            clear_leak_span(control, transport);
-        }
     }
 
     depolarize2<WT>(control, target);
@@ -445,12 +387,8 @@ BatchFrameSim::apply_lrc_data(int q, int lane)
     } else {
         clear_leak_lane(q, lane);
     }
-    if (payload_bernoulli(lane, np_.lrc_depol())) {
-        const uint32_t pauli = 1 + payload_uniform_int(lane, 3);
-        const size_t i = span(q) + static_cast<size_t>(lane >> 6);
-        fx_[i] ^= static_cast<LaneMask>(pauli & 1u) << (lane & 63);
-        fz_[i] ^= static_cast<LaneMask>((pauli >> 1) & 1u) << (lane & 63);
-    }
+    if (payload_bernoulli(lane, np_.lrc_depol()))
+        depolarize_lane(q, lane);
     if (payload_bernoulli(lane, np_.lrc_leak()))
         set_leak_lane(q, lane);
 }
@@ -518,6 +456,20 @@ BatchFrameSim::apply_lrcs(const LrcMasks& lrcs)
         }
         list.clear();
     }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline LaneMask
+BatchFrameSim::unleaked(int q, LaneMask* ok) const
+{
+    const int W = WT > 0 ? WT : words_;
+    const LaneMask* lq = leaked(q);
+    LaneMask any = 0;
+    for (int w = 0; w < W; ++w) {
+        ok[w] = active_[w] & ~lq[w];
+        any |= ok[w];
+    }
+    return any;
 }
 
 template <int WT>
@@ -589,33 +541,20 @@ BatchFrameSim::run_round_t(const LrcMasks& lrcs)
           case OpType::kResetZ: {
             // Reset skips leaked lanes entirely: no state touch, no
             // init-error draw (scalar semantics) — hence the masked site.
-            const LaneMask* lq = leaked(op.q0);
             LaneMask ok[kMaxBatchWords];
-            LaneMask any_ok = 0;
-            for (int w = 0; w < W; ++w) {
-                ok[w] = active_[w] & ~lq[w];
-                any_ok |= ok[w];
-            }
-            if (any_ok != 0) {
+            if (unleaked<WT>(op.q0, ok) != 0) {
                 reset_z<WT>(op.q0, ok);
                 LaneMask flip[kMaxBatchWords];
-                if (bernoulli_mask<WT>(rate_p_, ok, flip) != 0) {
-                    LaneMask none[kMaxBatchWords];
-                    lanes_zero(none, W);
-                    apply_pauli<WT>(op.q0, flip, none);
-                }
+                if (bernoulli_mask<WT>(rate_p_, ok, flip) != 0)
+                    for_each_lane(flip, W, [&](int l) {
+                        apply_pauli_lane(op.q0, l, kPauliX);  // to |1>
+                    });
             }
             break;
           }
           case OpType::kH: {
-            const LaneMask* lq = leaked(op.q0);
             LaneMask ok[kMaxBatchWords];
-            LaneMask any_ok = 0;
-            for (int w = 0; w < W; ++w) {
-                ok[w] = active_[w] & ~lq[w];
-                any_ok |= ok[w];
-            }
-            if (any_ok != 0)
+            if (unleaked<WT>(op.q0, ok) != 0)
                 hadamard<WT>(op.q0, ok);
             depolarize1<WT>(op.q0);
             break;

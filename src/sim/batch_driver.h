@@ -385,10 +385,15 @@ class BatchFrameSim final : public BatchSimulator {
             ~(1ull << (lane & 63));
     }
 
+    /** Pauli `pauli` (kPauli* encoding) on qubit q in one lane's frame. */
+    void apply_pauli_lane(int q, int lane, uint32_t pauli)
+    {
+        const size_t i = span(q) + static_cast<size_t>(lane >> 6);
+        fx_[i] ^= static_cast<LaneMask>(pauli & 1u) << (lane & 63);
+        fz_[i] ^= static_cast<LaneMask>((pauli >> 1) & 1u) << (lane & 63);
+    }
+
     // Pauli-frame ops over the fx_/fz_ spans, in the lanes of a mask.
-    /** X in the lanes of `xs`, Z in those of `zs` (both set = Y). */
-    template <int WT>
-    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs);
     /** CNOT: X copies control->target, Z copies target->control. */
     template <int WT>
     void coherent_cnot(int control, int target, const LaneMask* lanes);
@@ -398,6 +403,12 @@ class BatchFrameSim final : public BatchSimulator {
     template <int WT> void reset_z(int q, const LaneMask* lanes);
 
     /**
+     * The active lanes in which qubit q is not leaked, written to the
+     * `ok` span (the lanes a gate or reset acts on); returns their OR.
+     */
+    template <int WT> LaneMask unleaked(int q, LaneMask* ok) const;
+
+    /**
      * The Z readout of qubit q in every active lane, written to the
      * `flip` span: a leaked lane reads a fair coin, a clean lane its
      * X-frame bit XOR a readout error at rate p.  Both the round's
@@ -405,6 +416,13 @@ class BatchFrameSim final : public BatchSimulator {
      */
     template <int WT> void readout(int q, LaneMask* flip);
 
+    /** A depolarizing event in one lane: a uniform non-identity Pauli. */
+    void depolarize_lane(int q, int lane);
+    /**
+     * The disturbance of a leaked CNOT's non-leaked `partner` in one
+     * lane (LeakageDriver::malfunction's rule).
+     */
+    void malfunction_lane(int partner, int lane, bool is_control);
     void apply_lrc_data(int q, int lane);
     void apply_lrc_check(int c, int lane);
     /** Applies `lrcs` lane-major (see run_round_masks). */

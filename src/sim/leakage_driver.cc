@@ -62,11 +62,10 @@ LeakageDriver::set_leak(int q)
 }
 
 void
-LeakageDriver::depolarize1(int q)
+LeakageDriver::depolarize1(int q, double p)
 {
-    if (!rng_.bernoulli(np_.p))
-        return;
-    state_->apply_pauli(q, 1 + rng_.uniform_int(3));
+    if (rng_.bernoulli(p))
+        state_->apply_pauli(q, 1 + rng_.uniform_int(3));
 }
 
 void
@@ -156,8 +155,7 @@ LeakageDriver::apply_lrc_data(int q)
         clear_leak(q);
     }
     // Gadget noise: ~3 CNOTs of depolarizing + leakage induction.
-    if (rng_.bernoulli(np_.lrc_depol()))
-        state_->apply_pauli(q, 1 + rng_.uniform_int(3));
+    depolarize1(q, np_.lrc_depol());
     if (rng_.bernoulli(np_.lrc_leak()))
         set_leak(q);
 }
@@ -199,7 +197,7 @@ LeakageDriver::run_round(const LrcMasks& lrcs)
 
     // 2. Round-start data noise: depolarization + environment leakage.
     for (int q = 0; q < n_data; ++q) {
-        depolarize1(q);
+        depolarize1(q, np_.p);
         leak_maybe(q);
     }
 
@@ -221,7 +219,7 @@ LeakageDriver::run_round(const LrcMasks& lrcs)
           case OpType::kH:
             if (!leaked(op.q0))
                 state_->hadamard(op.q0);
-            depolarize1(op.q0);
+            depolarize1(op.q0, np_.p);
             break;
           case OpType::kCnot:
             cnot(op.q0, op.q1);

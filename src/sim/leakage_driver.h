@@ -12,14 +12,6 @@
 
 namespace gld {
 
-/** Pauli encoding shared by the driver and every backend: bit0 = X,
- *  bit1 = Z (both = Y up to the global phase, which no stabilizer
- *  statistic observes).  0 is the identity. */
-constexpr uint32_t kPauliI = 0;
-constexpr uint32_t kPauliX = 1;
-constexpr uint32_t kPauliZ = 2;
-constexpr uint32_t kPauliY = 3;
-
 /**
  * The narrow quantum-state interface a simulation backend provides to the
  * shared LeakageDriver.  A backend owns ONLY the computational-subspace
@@ -190,7 +182,8 @@ class LeakageDriver final {
     LaneMask readout(int q);
     void apply_lrc_data(int q);
     void apply_lrc_check(int c);
-    void depolarize1(int q);
+    /** With probability p, a uniform non-identity Pauli on qubit q. */
+    void depolarize1(int q, double p);
     void depolarize2(int q0, int q1);
     void leak_maybe(int q);
     void cnot(int control, int target);

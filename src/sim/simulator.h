@@ -33,6 +33,14 @@ constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
  */
 using LaneMask = uint64_t;
 
+/** Pauli encoding shared by the driver and every backend: bit0 = X,
+ *  bit1 = Z (both = Y up to the global phase, which no stabilizer
+ *  statistic observes).  0 is the identity. */
+constexpr uint32_t kPauliI = 0;
+constexpr uint32_t kPauliX = 1;
+constexpr uint32_t kPauliZ = 2;
+constexpr uint32_t kPauliY = 3;
+
 /** Outcome of one QEC round, as seen by the controller. */
 struct RoundResult {
     /** Measurement flip (vs the noiseless reference) per check. */
