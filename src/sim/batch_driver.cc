@@ -65,7 +65,9 @@ BatchFrameSim::start_batch(int n_lanes)
         // batch's first shot index: events depend only on (seed, stream,
         // block, batch #), so thread counts and shard splits cannot move
         // them.  The geometric countdowns restart with the stream.
-        sparse_reset(shots_started_);
+        event_rng_ = master_rng_.split(shots_started_);
+        for (LaneRate* rate : {&rate_p_, &rate_pl_, &rate_mlr_})
+            rate->skip_valid = false;
     } else {
         // Lane l replays exactly the scalar driver's (shots_started_ +
         // l)-th shot: same master, same split id, same draw order — at

@@ -491,15 +491,6 @@ class BatchFrameSim final : public BatchSimulator {
         return Rng::bernoulli_of(p, [&] { return payload_word(lane); });
     }
 
-    /** Re-arms the sparse event stream + countdowns at a reset point. */
-    void sparse_reset(uint64_t stream_id)
-    {
-        event_rng_ = master_rng_.split(stream_id);
-        rate_p_.skip_valid = false;
-        rate_pl_.skip_valid = false;
-        rate_mlr_.skip_valid = false;
-    }
-
     /**
      * Clears every frame, flag, history and scratch span, activates
      * lanes [0, n_lanes) and arms their streams from shot
